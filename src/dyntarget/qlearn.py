@@ -40,14 +40,6 @@ N_Q_STATES = N_SOC * N_FLAG_COMBOS  # 6464
 
 Q_MAGIC = b"DTQ1"
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-
 @dataclass(frozen=True)
 class QLearnParams:
     """Update hyperparameters; ``epsilon`` only matters to the
@@ -137,54 +129,59 @@ def q_update(
 # sweep trainer
 # ---------------------------------------------------------------------------
 
-def _sweep_python(q, visits, flags, r_sample, alpha, gamma, discharge, recharge):
-    """Reference sweep: timestep backward, charge 0..100, Off then Sample.
+def _sweep(q, visits, flags, r_sample, alpha, gamma, discharge, recharge):
+    """One backward pass: timestep T-1..0, charge 0..100, Off then Sample.
 
     ``flags`` and ``r_sample`` are per-column state bits and sample
-    rewards; updates beyond the horizon bootstrap from zero.
+    rewards; updates beyond the horizon bootstrap from zero.  Updates are
+    in place (Gauss-Seidel): a later cell reads what an earlier one wrote.
+
+    Within one timestep an Off update reads row min(soc + recharge, 100),
+    never below ``soc``, so it always sees the value from before the
+    timestep; a Sample update whose next column has other flags reads
+    rows this timestep does not touch.  Both are whole-column numpy ops.
+    A Sample whose next column has the same flags reads row
+    soc - (discharge - recharge), already written this timestep, so that
+    recurrence runs as a scalar loop over Python floats.  Python floats
+    are IEEE doubles, so every value matches the cell-by-cell order bit
+    for bit.
     """
-    horizon = flags.shape[0]
-    for t0 in range(horizon - 1, -1, -1):
-        ft = flags[t0]
-        terminal = t0 == horizon - 1
-        ft1 = 0 if terminal else flags[t0 + 1]
-        r_t = r_sample[t0]
-        for soc in range(N_SOC):
-            s = soc * N_FLAG_COMBOS + ft
-            if terminal:
-                follow_off = 0.0
-            else:
-                ns = min(soc + recharge, SOC_MAX) * N_FLAG_COMBOS + ft1
-                follow_off = max(q[ns, 0], q[ns, 1])
-            q[s, 0] += alpha * (gamma * follow_off - q[s, 0])
-            visits[s, 0] += 1
-            if soc >= discharge:
-                if terminal:
-                    follow_smp = 0.0
-                else:
-                    nsoc = min(max(soc - discharge + recharge, 0), SOC_MAX)
-                    ns = nsoc * N_FLAG_COMBOS + ft1
-                    follow_smp = max(q[ns, 0], q[ns, 1])
-                q[s, 1] += alpha * (r_t + gamma * follow_smp - q[s, 1])
-                visits[s, 1] += 1
+    by_flag = q.reshape(N_SOC, N_FLAG_COMBOS, 2)
+    counts = np.bincount(flags, minlength=N_FLAG_COMBOS)
+    visits_by_flag = visits.reshape(N_SOC, N_FLAG_COMBOS, 2)
+    visits_by_flag[:, :, 0] += counts
+    visits_by_flag[discharge:, :, 1] += counts
 
-
-if _HAVE_NUMBA:
-    _sweep_numba = njit(cache=True)(_sweep_python)
-
-
-def _run_sweep(table: QTable, flags, r_sample, params: QLearnParams, energy: EnergyModel):
-    kernel = _sweep_numba if _HAVE_NUMBA else _sweep_python
-    kernel(
-        table.q,
-        table.visits,
-        flags,
-        r_sample,
-        params.alpha,
-        params.gamma,
-        energy.sample_discharge,
-        energy.recharge_per_step,
-    )
+    step = discharge - recharge
+    off_next = np.minimum(np.arange(N_SOC) + recharge, SOC_MAX)
+    smp_next = np.arange(discharge, N_SOC) - step
+    smp_rows = range(discharge, N_SOC)
+    follow = np.zeros(N_SOC)  # past the horizon
+    flag_list = flags.tolist()
+    r_list = r_sample.tolist()
+    ft1 = -1
+    for t0 in range(len(flag_list) - 1, -1, -1):
+        ft = flag_list[t0]
+        r_t = r_list[t0]
+        if ft1 >= 0:
+            nxt_off, nxt_smp = by_flag[:, ft1, 0], by_flag[:, ft1, 1]
+            follow = np.where(nxt_smp > nxt_off, nxt_smp, nxt_off)  # as max(off, smp)
+        rows = by_flag[:, ft]
+        q_off = rows[:, 0]
+        q_off += alpha * (gamma * follow[off_next] - q_off)
+        if ft != ft1:
+            q_smp = rows[discharge:, 1]
+            q_smp += alpha * (r_t + gamma * follow[smp_next] - q_smp)
+        else:
+            off = q_off.tolist()
+            smp = rows[:, 1].tolist()
+            for soc in smp_rows:
+                a = off[soc - step]
+                b = smp[soc - step]
+                v = smp[soc]
+                smp[soc] = v + alpha * (r_t + gamma * (b if b > a else a) - v)
+            rows[discharge:, 1] = smp[discharge:]
+        ft1 = ft
 
 
 def train_dp_sweep(
@@ -207,12 +204,12 @@ def train_dp_sweep(
     prepared = []
     for strip in strips:
         idx = strip_index(strip, geom)
-        flags = np.ascontiguousarray(idx.qflag, dtype=np.int64)
         r_sample = rewards.values()[idx.radar_best].astype(np.float64)
-        prepared.append((flags, r_sample))
+        prepared.append((idx.qflag, r_sample))
     for _ in range(params.sweeps):
         for flags, r_sample in prepared:
-            _run_sweep(table, flags, r_sample, params, energy)
+            _sweep(table.q, table.visits, flags, r_sample, params.alpha, params.gamma,
+                   energy.sample_discharge, energy.recharge_per_step)
     return table
 
 

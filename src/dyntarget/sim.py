@@ -181,17 +181,20 @@ class StripIndex:
 
     Everything a per-step decision needs is precomputed here as flat
     arrays indexed by 0-based column, so episode loops stay O(1) per
-    step.  Instances are cached on the strip keyed by geometry.
+    step.  Instances are cached on the strip keyed by geometry, so an
+    index keeps the strip's cells but not the strip itself: a reference
+    back would make a cycle that only a full garbage collection frees.
     """
 
     def __init__(self, strip: EnvStrip, geom: SensorGeometry):
-        self.strip = strip
         self.geom = geom
         h, t = strip.height, strip.length
         center = strip.center_row
         r = geom.radar_radius_px
         look = geom.lookahead_len_px
         cells = strip.cells
+        self._cells = cells
+        self._center_row = center
 
         eq = np.stack([cells == c for c in range(N_CLASSES)])  # (3, H, T)
         colcnt = eq.sum(axis=1, dtype=np.int32)  # (3, T)
@@ -278,12 +281,12 @@ class StripIndex:
         """
         if self._bc_extra is not None:
             return self._bc_extra
-        strip, geom = self.strip, self.geom
-        h, t = strip.height, strip.length
-        center = strip.center_row
+        geom, cells = self.geom, self._cells
+        h, t = cells.shape
+        center = self._center_row
         r = geom.radar_radius_px
         look = geom.lookahead_len_px
-        eq = np.stack([strip.cells == c for c in range(N_CLASSES)])
+        eq = np.stack([cells == c for c in range(N_CLASSES)])
 
         near = np.ones((N_CLASSES, t))
         found = np.zeros((N_CLASSES, t), dtype=bool)

@@ -5,7 +5,7 @@ from hypothesis import settings
 from dyntarget import EnvStrip, SensorGeometry
 
 # long-running property tests share one profile; no deadline because the
-# first call often pays a one-off index-build or JIT cost
+# first call often pays a one-off index-build cost
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
 

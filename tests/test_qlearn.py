@@ -28,8 +28,8 @@ from dyntarget import (
     train_dp_sweep,
     train_epsilon_greedy,
 )
-from dyntarget.qlearn import N_Q_STATES, Q_MAGIC
-from dyntarget.sim import SatState
+from dyntarget.qlearn import N_Q_STATES, Q_MAGIC, _sweep
+from dyntarget.sim import SatState, strip_index
 from dyntarget.errors import FormatError, ParameterError
 
 ENERGY = EnergyModel()
@@ -241,6 +241,100 @@ def test_sweep_trainer_beats_random_on_held_out(geom_small):
     base = run_episode(held, geom_small, ENERGY, REWARDS, random_policy(seed=2))
     ceiling = build_dp_table(held, geom_small, ENERGY, REWARDS).root_value(100)
     assert base.total_reward < ours.total_reward <= ceiling
+
+
+def oracle_pass(q, visits, flags, r_sample, alpha, gamma, discharge, recharge):
+    """One sweep pass one cell at a time, in its defining order: timestep
+    T-1..0, charge 0..100, Off then Sample, each update reading the table
+    as the previous update left it (Gauss-Seidel)."""
+    horizon = len(flags)
+    for t0 in range(horizon - 1, -1, -1):
+        terminal = t0 == horizon - 1
+        for soc in range(101):
+            s = soc * 64 + flags[t0]
+            follow = 0.0
+            if not terminal:
+                ns = min(soc + recharge, 100) * 64 + flags[t0 + 1]
+                follow = max(q[ns, 0], q[ns, 1])
+            q[s, 0] += alpha * (gamma * follow - q[s, 0])
+            visits[s, 0] += 1
+            if soc >= discharge:
+                follow = 0.0
+                if not terminal:
+                    ns = min(max(soc - discharge + recharge, 0), 100) * 64 + flags[t0 + 1]
+                    follow = max(q[ns, 0], q[ns, 1])
+                q[s, 1] += alpha * (r_sample[t0] + gamma * follow - q[s, 1])
+                visits[s, 1] += 1
+
+
+def sweep_oracle(strips, params, geom, energy):
+    """The sweep trainer rebuilt from observations and ``oracle_pass``."""
+    columns = []
+    for strip in strips:
+        flags, r_sample = [], []
+        for t0 in range(strip.length):
+            obs = observe(strip, geom, SatState(t=t0 + 1, soc=100))
+            flags.append(q_state_index(featurize_q(obs)) % 64)
+            r_sample.append(REWARDS.value_of(obs.radar_best_class()))
+        columns.append((flags, r_sample))
+    table = QTable()
+    for _ in range(params.sweeps):
+        for flags, r_sample in columns:
+            oracle_pass(table.q, table.visits, flags, r_sample, params.alpha, params.gamma,
+                        energy.sample_discharge, energy.recharge_per_step)
+    return table
+
+
+def oracle_strips():
+    """Under ``oracle_geom``, state bits that repeat, change every step, and mix."""
+    steady = uniform(3, 30, RewardClass.MID)
+    flicker = EnvStrip(np.tile(np.array([[0, 0, 1, 2]], dtype=np.uint8), 8))
+    mixed = EnvStrip(np.random.default_rng(5).integers(0, 3, size=(5, 40), dtype=np.uint8))
+    return [steady, flicker, mixed]
+
+
+@pytest.fixture(scope="module")
+def oracle_geom():
+    return SensorGeometry.from_pixels(1, 2)
+
+
+def test_oracle_strips_repeat_and_change_flags(oracle_geom):
+    steady, flicker, mixed = (
+        np.diff(strip_index(s, oracle_geom).qflag.astype(int)) == 0 for s in oracle_strips()
+    )
+    # the last column's lookahead window is empty, so its flags always differ
+    assert steady[:-1].all() and not steady[-1]
+    assert not flicker.any()
+    assert 0.2 < mixed.mean() < 0.8
+
+
+@pytest.mark.parametrize("alpha, gamma", [(0.4, 0.99), (1.0, 1.0), (0.13, 0.5)])
+@pytest.mark.parametrize("discharge, recharge", [(5, 1), (7, 2), (3, 1), (2, 1), (100, 99)])
+def test_sweep_trainer_matches_the_cell_by_cell_oracle(
+    oracle_geom, discharge, recharge, alpha, gamma
+):
+    energy = EnergyModel(sample_discharge=discharge, recharge_per_step=recharge)
+    params = QLearnParams(alpha=alpha, gamma=gamma, sweeps=3)
+    strips = oracle_strips()
+    table = train_dp_sweep(strips, params, geom=oracle_geom, energy=energy)
+    mirror = sweep_oracle(strips, params, oracle_geom, energy)
+    assert np.array_equal(table.q, mirror.q)
+    assert np.array_equal(table.visits, mirror.visits)
+
+
+@pytest.mark.parametrize("discharge, recharge", [(5, 1), (3, 1), (100, 99)])
+def test_sweep_kernel_matches_the_oracle_on_constant_flags(discharge, recharge):
+    # no strip keeps its flags into the last column, so feed the kernel directly
+    flags = np.full(30, 41, dtype=np.int64)
+    r_sample = np.linspace(0.0, 10.0, 30)
+    table, mirror = QTable(), QTable()
+    for _ in range(3):
+        _sweep(table.q, table.visits, flags, r_sample, 0.4, 0.99, discharge, recharge)
+        oracle_pass(mirror.q, mirror.visits, flags.tolist(), r_sample.tolist(),
+                    0.4, 0.99, discharge, recharge)
+    assert table.q.any()
+    assert np.array_equal(table.q, mirror.q)
+    assert np.array_equal(table.visits, mirror.visits)
 
 
 # ---------------------------------------------------------------------------

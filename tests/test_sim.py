@@ -1,5 +1,7 @@
 """Geometry, charge transitions, stepping, and episode bookkeeping."""
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from dyntarget import (
     step,
 )
 from dyntarget.errors import EpisodeError, InfeasibleActionError, ParameterError
-from dyntarget.sim import SOC_MAX, disc_offsets
+from dyntarget.sim import SOC_MAX, disc_offsets, strip_index
 
 ENERGY = EnergyModel()
 REWARDS = RewardModel()
@@ -304,6 +306,25 @@ def test_observation_queries_match_direct_recount(geom_small, seed, height, leng
             (window == c).any() for c in range(3)
         )
         assert len(obs.radar_cells) == len(in_disc)
+
+
+def test_strip_dies_without_a_collection_once_indexed(geom_small):
+    """The index is cached on the strip, so a reference back would keep
+    both alive until a full garbage collection."""
+    cells = np.random.default_rng(8).integers(0, 3, size=(5, 30), dtype=np.uint8)
+    strip = EnvStrip(cells)
+    gc.disable()
+    try:
+        index = strip_index(strip, geom_small)
+        gone = weakref.ref(strip)
+        del strip
+        assert gone() is None
+    finally:
+        gc.enable()
+    # the lazy cloning features still build from what the index kept
+    expected = strip_index(EnvStrip(cells), geom_small).bc_extras()
+    for got, want in zip(index.bc_extras(), expected):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
