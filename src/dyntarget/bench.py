@@ -11,6 +11,7 @@ apart from measured latency.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -281,7 +282,8 @@ def build_config(entries: Dict[str, str]) -> BenchConfig:
 # data and model preparation
 # ---------------------------------------------------------------------------
 
-def _resolve_strips(config: BenchConfig) -> Tuple[List[EnvStrip], List[EnvStrip]]:
+def resolve_strips(config: BenchConfig) -> Tuple[List[EnvStrip], List[EnvStrip]]:
+    """(train, test) strips: loaded from the configured paths, else generated."""
     ds = config.datasets
     if ds.train_paths or ds.test_paths:
         if not (ds.train_paths and ds.test_paths):
@@ -310,10 +312,16 @@ def _resolve_strips(config: BenchConfig) -> Tuple[List[EnvStrip], List[EnvStrip]
 def _dp_for(
     strip: EnvStrip, config: BenchConfig, cache_dir: Optional[Path]
 ) -> DPTable:
-    """Build the strip's value table, or reuse a cached one by digest."""
+    """Build the strip's value table, or reuse a cached one.
+
+    The cache file is named by a hash of the strip digest and of every
+    model the table depends on, so a changed reward or geometry misses.
+    """
     if cache_dir is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)
-        path = cache_dir / f"{strip.digest()[:32]}.dpt"
+        models = repr((config.geometry, config.energy, config.rewards))
+        key = hashlib.sha256(f"{strip.digest()}|{models}".encode()).hexdigest()
+        path = cache_dir / f"{key[:32]}.dpt"
         if path.exists():
             table = load_dp_table(path)
             if table.strip_digest == strip.digest():
@@ -337,7 +345,7 @@ class PreparedBench:
 
 def prepare_bench(config: BenchConfig, outdir=None, progress: bool = False) -> PreparedBench:
     cache_dir = Path(outdir) / "dp_cache" if outdir is not None else None
-    train, test = _resolve_strips(config)
+    train, test = resolve_strips(config)
     if progress:
         print(f"resolved {len(train)} train / {len(test)} test strips")
     need_train_tables = "bc" in config.roster

@@ -20,6 +20,7 @@ from .bench import (
     load_config,
     measure_latency,
     prepare_bench,
+    resolve_strips,
     run_benchmark,
     train_learners,
     training_curve,
@@ -130,9 +131,7 @@ def _cmd_train_q(args) -> int:
 
 def prepare_bench_no_tables(config: BenchConfig):
     """Training strips only; avoids planning test strips needlessly."""
-    from .bench import _resolve_strips
-
-    train, _ = _resolve_strips(config)
+    train, _ = resolve_strips(config)
     return train
 
 

@@ -20,6 +20,7 @@ Feature layout, all in [0, 1]:
 """
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -222,12 +223,6 @@ class MLPModel:
     def n_params(self) -> int:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
-    def copy(self) -> "MLPModel":
-        return MLPModel(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
 
 def init_mlp(seed: int = 0, layer_sizes: Sequence[int] = LAYER_SIZES) -> MLPModel:
     """Uniform init scaled by fan-in + fan-out, zero biases."""
@@ -269,6 +264,49 @@ def mlp_forward(model: MLPModel, x: np.ndarray) -> np.ndarray:
     return float(p[0]) if single else p
 
 
+def _loss(p: np.ndarray, y: np.ndarray, loss: str) -> float:
+    """Mean loss of sample probabilities ``p`` against labels ``y``."""
+    if loss == "bce":
+        clipped = np.clip(p, _EPS, 1.0 - _EPS)
+        return float(-np.mean(y * np.log(clipped) + (1.0 - y) * np.log(1.0 - clipped)))
+    return float(np.mean((p - y) ** 2))
+
+
+def _backprop(
+    model: MLPModel,
+    x: np.ndarray,
+    y: np.ndarray,
+    loss: str,
+    grads_w: List[np.ndarray],
+    grads_b: List[np.ndarray],
+) -> float:
+    """Mean batch loss; writes its gradients into ``grads_w``/``grads_b``."""
+    n = len(x)
+    last = len(model.weights) - 1
+
+    acts = [x]
+    z = x
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = z @ w + b
+        if i < last:
+            z = np.maximum(z, 0.0)
+        acts.append(z)
+    p = _sigmoid(acts[-1][:, 0])
+
+    value = _loss(p, y, loss)
+    if loss == "bce":
+        delta = ((p - y) / n)[:, None]  # sigmoid folded into the BCE gradient
+    else:
+        delta = ((2.0 * (p - y) * p * (1.0 - p)) / n)[:, None]
+
+    for i in range(last, -1, -1):
+        np.matmul(acts[i].T, delta, out=grads_w[i])
+        np.sum(delta, axis=0, out=grads_b[i])
+        if i > 0:
+            delta = (delta @ model.weights[i].T) * (acts[i] > 0)
+    return value
+
+
 def mlp_grad(
     model: MLPModel,
     x: np.ndarray,
@@ -282,34 +320,23 @@ def mlp_grad(
         raise ParameterError("need a (N, features) batch with matching labels")
     if loss not in ("bce", "mse"):
         raise ParameterError(f"unknown loss {loss!r}")
-    n = len(x)
-    last = len(model.weights) - 1
-
-    acts = [x]
-    z = x
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = z @ w + b
-        if i < last:
-            z = np.maximum(z, 0.0)
-        acts.append(z)
-    p = _sigmoid(acts[-1][:, 0])
-
-    if loss == "bce":
-        clipped = np.clip(p, _EPS, 1.0 - _EPS)
-        value = float(-np.mean(y * np.log(clipped) + (1.0 - y) * np.log(1.0 - clipped)))
-        delta = ((p - y) / n)[:, None]  # sigmoid folded into the BCE gradient
-    else:
-        value = float(np.mean((p - y) ** 2))
-        delta = ((2.0 * (p - y) * p * (1.0 - p)) / n)[:, None]
-
-    grads_w: List[np.ndarray] = [None] * len(model.weights)
-    grads_b: List[np.ndarray] = [None] * len(model.weights)
-    for i in range(last, -1, -1):
-        grads_w[i] = acts[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ model.weights[i].T) * (acts[i] > 0)
+    grads_w, grads_b = _layer_views(np.empty(model.n_params), model.layer_sizes)
+    value = _backprop(model, x, y, loss, grads_w, grads_b)
     return value, grads_w, grads_b
+
+
+def _layer_views(
+    flat: np.ndarray, layer_sizes: Sequence[int]
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Per-layer weight and bias views into one flat parameter vector."""
+    weights, biases = [], []
+    pos = 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(flat[pos: pos + fan_in * fan_out].reshape(fan_in, fan_out))
+        pos += fan_in * fan_out
+        biases.append(flat[pos: pos + fan_out])
+        pos += fan_out
+    return weights, biases
 
 
 # ---------------------------------------------------------------------------
@@ -377,21 +404,24 @@ def train_bc(
     x_train, y_train = demos.features[train_idx], demos.actions[train_idx].astype(np.float64)
     x_val, y_val = demos.features[val_idx], demos.actions[val_idx].astype(np.float64)
 
-    model = init_mlp(seed=params.seed)
-    m_w = [np.zeros_like(w) for w in model.weights]
-    v_w = [np.zeros_like(w) for w in model.weights]
-    m_b = [np.zeros_like(b) for b in model.biases]
-    v_b = [np.zeros_like(b) for b in model.biases]
+    # the model's arrays and backprop's gradients are views into two flat
+    # vectors, so one Adam step is a few whole-vector ufuncs
+    init = init_mlp(seed=params.seed)
+    sizes = init.layer_sizes
+    theta = np.concatenate(
+        [a.ravel() for layer in zip(init.weights, init.biases) for a in layer]
+    )
+    model = MLPModel(*_layer_views(theta, sizes))
+    grad = np.empty_like(theta)
+    grads_w, grads_b = _layer_views(grad, sizes)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    tmp, den = np.empty_like(theta), np.empty_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
-    def eval_loss(x, y) -> float:
-        value, _, _ = mlp_grad(model, x, y, loss=params.loss)
-        return value
-
     history: List[Tuple[float, float]] = []
     best_val = np.inf
-    best_model = model.copy()
+    best = theta.copy()
     stale = 0
     n_train = len(x_train)
     for _ in range(params.max_epochs):
@@ -400,37 +430,47 @@ def train_bc(
         n_batches = 0
         for start in range(0, n_train, params.batch_size):
             batch = perm[start: start + params.batch_size]
-            value, gw, gb = mlp_grad(model, x_train[batch], y_train[batch], loss=params.loss)
-            if not np.isfinite(value):
+            value = _backprop(
+                model, x_train[batch], y_train[batch], params.loss, grads_w, grads_b
+            )
+            if not math.isfinite(value):
                 raise FloatingPointError("training loss went non-finite")
             epoch_loss += value
             n_batches += 1
             step += 1
             bc1 = 1.0 - beta1 ** step
             bc2 = 1.0 - beta2 ** step
-            for i in range(len(model.weights)):
-                m_w[i] = beta1 * m_w[i] + (1 - beta1) * gw[i]
-                v_w[i] = beta2 * v_w[i] + (1 - beta2) * gw[i] ** 2
-                model.weights[i] -= params.learning_rate * (m_w[i] / bc1) / (
-                    np.sqrt(v_w[i] / bc2) + eps
-                )
-                m_b[i] = beta1 * m_b[i] + (1 - beta1) * gb[i]
-                v_b[i] = beta2 * v_b[i] + (1 - beta2) * gb[i] ** 2
-                model.biases[i] -= params.learning_rate * (m_b[i] / bc1) / (
-                    np.sqrt(v_b[i] / bc2) + eps
-                )
-        val_loss = eval_loss(x_val, y_val)
-        if not np.isfinite(val_loss):
+            # in place, with the per-element operations and their order of
+            #   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g**2
+            #   theta -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
+            # so results match a per-array update bit for bit
+            m *= beta1
+            np.multiply(grad, 1 - beta1, out=tmp)
+            m += tmp
+            v *= beta2
+            np.multiply(grad, grad, out=tmp)
+            tmp *= 1 - beta2
+            v += tmp
+            np.divide(m, bc1, out=tmp)
+            tmp *= params.learning_rate
+            np.divide(v, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += eps
+            tmp /= den
+            theta -= tmp
+        val_loss = _loss(mlp_forward(model, x_val), y_val, params.loss)
+        if not math.isfinite(val_loss):
             raise FloatingPointError("validation loss went non-finite")
         history.append((epoch_loss / max(n_batches, 1), val_loss))
         if val_loss < best_val:
             best_val = val_loss
-            best_model = model.copy()
+            np.copyto(best, theta)
             stale = 0
         else:
             stale += 1
             if stale >= params.patience:
                 break
+    best_model = MLPModel(*_layer_views(best, sizes))
     if return_history:
         return best_model, history
     return best_model

@@ -108,6 +108,18 @@ def test_eval_writes_reports(tmp_path, cfg, capsys):
     assert capsys.readouterr().out.count("wrote") == 2
 
 
+def test_eval_rerun_with_new_rewards_replans(tmp_path, cfg):
+    out = tmp_path / "out"
+    for extra in ("roster = greedy_radar, dp\n", "roster = greedy_radar, dp\nrewards.high = 1000\n"):
+        assert main(["eval", "--config", cfg(extra), "--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()]
+        dp_pcts = [float(row[3]) for row in rows if row[0] == "dp"]
+        assert len(dp_pcts) == 3
+        assert all(pct == 100.0 for pct in dp_pcts)
+    # one table per strip and reward model
+    assert len(list((out / "dp_cache").glob("*.dpt"))) == 4
+
+
 def test_eval_seed_override_moves_the_random_policy(tmp_path, cfg):
     extra = "roster = random, dp\n"
 

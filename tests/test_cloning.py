@@ -31,10 +31,12 @@ from dyntarget import (
     train_bc,
 )
 from dyntarget.cloning import (
+    _EPS,
     DemoSet,
     LAYER_SIZES,
     MODEL_MAGIC,
     N_FEATURES,
+    _sigmoid,
     dominant_radar_class,
 )
 from dyntarget.sim import SatState
@@ -392,6 +394,147 @@ def test_training_history():
     )
     assert 1 <= len(history) <= 15
     assert all(np.isfinite(t) and np.isfinite(v) for t, v in history)
+
+
+def reference_grad(model, x, y, loss):
+    """Backpropagation with one fresh array per layer and gradient."""
+    last = len(model.weights) - 1
+    acts = [x]
+    z = x
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = z @ w + b
+        if i < last:
+            z = np.maximum(z, 0.0)
+        acts.append(z)
+    p = _sigmoid(acts[-1][:, 0])
+    if loss == "bce":
+        clipped = np.clip(p, _EPS, 1.0 - _EPS)
+        value = float(-np.mean(y * np.log(clipped) + (1.0 - y) * np.log(1.0 - clipped)))
+        delta = ((p - y) / len(x))[:, None]
+    else:
+        value = float(np.mean((p - y) ** 2))
+        delta = ((2.0 * (p - y) * p * (1.0 - p)) / len(x))[:, None]
+    gw, gb = [None] * (last + 1), [None] * (last + 1)
+    for i in range(last, -1, -1):
+        gw[i] = acts[i].T @ delta
+        gb[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ model.weights[i].T) * (acts[i] > 0)
+    return value, gw, gb
+
+
+def reference_train(demos, params):
+    """The trainer written out per array: one Adam update per weight and
+    bias, each a fresh expression; the oracle for train_bc."""
+    demos = take_demos(demos, np.nonzero(demos.soc >= ENERGY.sample_discharge)[0])
+    n = len(demos)
+    rng = np.random.default_rng(params.seed)
+    order = rng.permutation(n)
+    n_val = max(1, int(round(n * params.val_fraction)))
+    val_idx, train_idx = order[:n_val], order[n_val:]
+    x_train, y_train = demos.features[train_idx], demos.actions[train_idx].astype(np.float64)
+    x_val, y_val = demos.features[val_idx], demos.actions[val_idx].astype(np.float64)
+    model = init_mlp(seed=params.seed)
+    m_w = [np.zeros_like(w) for w in model.weights]
+    v_w = [np.zeros_like(w) for w in model.weights]
+    m_b = [np.zeros_like(b) for b in model.biases]
+    v_b = [np.zeros_like(b) for b in model.biases]
+    beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, params.learning_rate
+    step = 0
+    history = []
+    def snapshot():
+        return MLPModel([w.copy() for w in model.weights], [b.copy() for b in model.biases])
+
+    best_val, best_model, stale = np.inf, snapshot(), 0
+    for _ in range(params.max_epochs):
+        perm = rng.permutation(len(x_train))
+        epoch_loss, n_batches = 0.0, 0
+        for start in range(0, len(x_train), params.batch_size):
+            batch = perm[start: start + params.batch_size]
+            value, gw, gb = reference_grad(model, x_train[batch], y_train[batch], params.loss)
+            epoch_loss += value
+            n_batches += 1
+            step += 1
+            bc1 = 1.0 - beta1 ** step
+            bc2 = 1.0 - beta2 ** step
+            for i in range(len(model.weights)):
+                m_w[i] = beta1 * m_w[i] + (1 - beta1) * gw[i]
+                v_w[i] = beta2 * v_w[i] + (1 - beta2) * gw[i] ** 2
+                model.weights[i] -= lr * (m_w[i] / bc1) / (np.sqrt(v_w[i] / bc2) + eps)
+                m_b[i] = beta1 * m_b[i] + (1 - beta1) * gb[i]
+                v_b[i] = beta2 * v_b[i] + (1 - beta2) * gb[i] ** 2
+                model.biases[i] -= lr * (m_b[i] / bc1) / (np.sqrt(v_b[i] / bc2) + eps)
+        val_loss = reference_grad(model, x_val, y_val, params.loss)[0]
+        history.append((epoch_loss / n_batches, val_loss))
+        if val_loss < best_val:
+            best_val, best_model, stale = val_loss, snapshot(), 0
+        else:
+            stale += 1
+            if stale >= params.patience:
+                break
+    return best_model, history
+
+
+def noisy_demos(seed):
+    # 284 rows leave 256 for training: 4 full batches of 64, or 6 of 37
+    # and a short one of 34; a few drained rows are dropped first
+    rng = np.random.default_rng(seed)
+    x = rng.random((290, N_FEATURES))
+    demos = synth_demos(x, (x[:, 4] + 0.4 * rng.random(290) > 0.7).astype(np.uint8))
+    demos.soc[::50] = ENERGY.sample_discharge - 1
+    return demos
+
+
+@pytest.mark.parametrize(
+    "loss, batch_size, max_epochs, patience",
+    [
+        ("bce", 64, 200, 3),  # stops early on patience
+        ("mse", 37, 200, 3),
+        ("bce", 37, 12, 50),  # runs to max_epochs
+        ("mse", 64, 12, 50),
+    ],
+)
+def test_training_matches_the_per_array_reference(loss, batch_size, max_epochs, patience):
+    demos = noisy_demos(11)
+    params = TrainParams(loss=loss, batch_size=batch_size, learning_rate=3e-3,
+                         max_epochs=max_epochs, patience=patience, seed=4)
+    model, history = train_bc(demos, params, return_history=True)
+    expected, expected_history = reference_train(demos, params)
+    if max_epochs == 12:
+        assert len(history) == max_epochs
+    else:
+        assert len(history) < max_epochs
+    assert history == expected_history
+    for got, want in zip(model.weights + model.biases, expected.weights + expected.biases):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_trained_models_share_no_memory():
+    demos = noisy_demos(12)
+    params = TrainParams(max_epochs=6, patience=2)
+    a = train_bc(demos, params)
+    b = train_bc(demos, params)
+    arrays_a, arrays_b = a.weights + a.biases, b.weights + b.biases
+    for x in arrays_a:
+        assert not np.shares_memory(x, demos.features)
+        for y in arrays_b:
+            assert not np.shares_memory(x, y)
+    # scribbling over a returned model leaves later training untouched
+    for x in arrays_a:
+        x[...] = np.nan
+    c = train_bc(demos, params)
+    for y, z in zip(arrays_b, c.weights + c.biases):
+        assert np.array_equal(y, z)
+
+
+def test_non_finite_training_loss_raises():
+    rng = np.random.default_rng(13)
+    x = rng.random((200, N_FEATURES))
+    x[7, 5] = np.nan
+    demos = synth_demos(x, (x[:, 1] > 0.5).astype(np.uint8))
+    with pytest.raises(FloatingPointError, match="training loss"):
+        train_bc(demos, TrainParams(max_epochs=3))
 
 
 # ---------------------------------------------------------------------------
