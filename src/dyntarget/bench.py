@@ -13,13 +13,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cloning import (
+    DemoSet,
     TrainParams,
     balance_dataset,
     bc_policy,
@@ -96,6 +98,17 @@ class DatasetSpec:
             if train & test:
                 raise ConfigError("train/test generator seed ranges overlap")
 
+    def gen_params(self, seed: int) -> GenParams:
+        """Generator knobs for the synthetic strip with this seed."""
+        return GenParams(
+            height=self.height,
+            length=self.length,
+            prevalence=self.prevalence,
+            blob_radius=self.blob_radius,
+            pixel_size_km=self.pixel_size_km,
+            seed=seed,
+        )
+
 
 @dataclass(frozen=True)
 class BenchConfig:
@@ -138,7 +151,11 @@ class BenchConfig:
 # config files
 # ---------------------------------------------------------------------------
 
-def _parse_scalar(key: str, raw: str, kind: type):
+def _parse_value(key: str, raw: str, kind):
+    """``raw`` as a value of type ``kind``; a tuple is a comma list."""
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return tuple(_parse_value(key, p.strip(), item) for p in raw.split(",") if p.strip())
     try:
         if kind is bool:
             if raw.lower() in ("true", "1", "yes"):
@@ -151,9 +168,42 @@ def _parse_scalar(key: str, raw: str, kind: type):
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
 
-def _parse_tuple(key: str, raw: str, kind: type) -> tuple:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    return tuple(_parse_scalar(key, p, kind) for p in parts)
+# Config keys are ``<field>`` for a top-level BenchConfig field and
+# ``<section>.<field>`` for a field of a nested dataclass, except for
+# these renamed and hidden fields.
+_KEY_ALIASES = {
+    "random.p_sample": "p_sample",
+    "bc.mode": "bc_mode",
+    "rewards.low": "rewards.reward_low",
+    "rewards.mid": "rewards.reward_mid",
+    "rewards.high": "rewards.reward_high",
+}
+_HIDDEN_FIELDS = ("rewards.reward_off", "rewards.scenario")
+
+
+def _field_types(cls) -> Dict[str, object]:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _config_keys() -> Dict[str, Tuple[str, object]]:
+    """Config key -> (field path, annotated type), in field order."""
+    fields: Dict[str, object] = {}
+    for name, kind in _field_types(BenchConfig).items():
+        if dataclasses.is_dataclass(kind):
+            for sub, sub_kind in _field_types(kind).items():
+                fields[f"{name}.{sub}"] = sub_kind
+        else:
+            fields[name] = kind
+    keys = {path: key for key, path in _KEY_ALIASES.items()}
+    return {
+        keys.get(path, path): (path, kind)
+        for path, kind in fields.items()
+        if path not in _HIDDEN_FIELDS
+    }
+
+
+CONFIG_KEYS = _config_keys()
 
 
 def load_config(path) -> BenchConfig:
@@ -186,95 +236,22 @@ def parse_config_text(text: str) -> Dict[str, str]:
 
 def build_config(entries: Dict[str, str]) -> BenchConfig:
     """Overlay parsed entries onto the defaults; reject unknown keys."""
-    e = dict(entries)
-
-    def pop(key, kind, default):
-        if key not in e:
-            return default
-        raw = e.pop(key)
-        if kind in (int, float, str, bool):
-            return _parse_scalar(key, raw, kind)
-        raise AssertionError(kind)
-
-    def pop_tuple(key, kind, default):
-        if key not in e:
-            return default
-        return _parse_tuple(key, e.pop(key), kind)
-
+    sections: Dict[str, Dict[str, object]] = {"": {}}
+    for key, (path, kind) in CONFIG_KEYS.items():
+        if key in entries:
+            section, _, name = path.rpartition(".")
+            sections.setdefault(section, {})[name] = _parse_value(key, entries[key], kind)
+    top = sections.pop("")
+    base = BenchConfig()
     try:
-        geometry = SensorGeometry(
-            altitude_km=pop("geometry.altitude_km", float, 400.0),
-            radar_half_angle_deg=pop("geometry.radar_half_angle_deg", float, 15.0),
-            lookahead_half_angle_deg=pop("geometry.lookahead_half_angle_deg", float, 45.0),
-            pixel_size_km=pop("geometry.pixel_size_km", float, 7.0),
-        )
-        energy = EnergyModel(
-            sample_discharge=pop("energy.sample_discharge", int, 5),
-            recharge_per_step=pop("energy.recharge_per_step", int, 1),
-        )
-        scenario = pop("scenario", str, "cloud_avoidance")
-        rewards = RewardModel(
-            reward_low=pop("rewards.low", float, 1.0),
-            reward_mid=pop("rewards.mid", float, 10.0),
-            reward_high=pop("rewards.high", float, 100.0),
-            scenario=scenario,
-        )
-        spec_defaults = DatasetSpec()
-        datasets = DatasetSpec(
-            height=pop("datasets.height", int, spec_defaults.height),
-            length=pop("datasets.length", int, spec_defaults.length),
-            prevalence=pop_tuple("datasets.prevalence", float, spec_defaults.prevalence),
-            blob_radius=pop_tuple("datasets.blob_radius", float, spec_defaults.blob_radius),
-            pixel_size_km=pop("datasets.pixel_size_km", float, spec_defaults.pixel_size_km),
-            train_count=pop("datasets.train_count", int, spec_defaults.train_count),
-            test_count=pop("datasets.test_count", int, spec_defaults.test_count),
-            train_seed0=pop("datasets.train_seed0", int, spec_defaults.train_seed0),
-            test_seed0=pop("datasets.test_seed0", int, spec_defaults.test_seed0),
-            train_paths=pop_tuple("datasets.train_paths", str, ()),
-            test_paths=pop_tuple("datasets.test_paths", str, ()),
-        )
-        q_defaults = QLearnParams()
-        qparams = QLearnParams(
-            alpha=pop("qlearn.alpha", float, q_defaults.alpha),
-            gamma=pop("qlearn.gamma", float, q_defaults.gamma),
-            epsilon=pop("qlearn.epsilon", float, q_defaults.epsilon),
-            sweeps=pop("qlearn.sweeps", int, q_defaults.sweeps),
-            seed=pop("qlearn.seed", int, q_defaults.seed),
-        )
-        bc_defaults = BenchConfig().bc
-        bparams = TrainParams(
-            keep_prob=pop("bc.keep_prob", float, bc_defaults.keep_prob),
-            loss=pop("bc.loss", str, bc_defaults.loss),
-            learning_rate=pop("bc.learning_rate", float, bc_defaults.learning_rate),
-            batch_size=pop("bc.batch_size", int, bc_defaults.batch_size),
-            max_epochs=pop("bc.max_epochs", int, bc_defaults.max_epochs),
-            patience=pop("bc.patience", int, bc_defaults.patience),
-            val_fraction=pop("bc.val_fraction", float, bc_defaults.val_fraction),
-            seed=pop("bc.seed", int, bc_defaults.seed),
-        )
-        config = BenchConfig(
-            scenario=scenario,
-            seed=pop("seed", int, 0),
-            soc0=pop("soc0", int, SOC_MAX),
-            geometry=geometry,
-            energy=energy,
-            rewards=rewards,
-            datasets=datasets,
-            roster=pop_tuple("roster", str, KNOWN_POLICIES),
-            p_sample=pop("random.p_sample", float, 0.2),
-            thresholds=ThresholdRule(
-                need_high=pop("thresholds.need_high", int, 5),
-                need_mid=pop("thresholds.need_mid", int, 50),
-                need_low=pop("thresholds.need_low", int, 100),
-            ),
-            qlearn=qparams,
-            bc=bparams,
-            bc_mode=pop("bc.mode", str, "stochastic"),
-        )
+        for section, values in sections.items():
+            top[section] = dataclasses.replace(getattr(base, section), **values)
+        config = dataclasses.replace(base, **top)
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
-    if e:
-        raise ConfigError(f"unknown config keys: {sorted(e)}")
+    unknown = sorted(entries.keys() - CONFIG_KEYS.keys())
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
     return config
 
 
@@ -291,21 +268,8 @@ def resolve_strips(config: BenchConfig) -> Tuple[List[EnvStrip], List[EnvStrip]]
         train = [load_dataset(p) for p in ds.train_paths]
         test = [load_dataset(p) for p in ds.test_paths]
         return train, test
-
-    def gen(seed):
-        return generate_synthetic(
-            GenParams(
-                height=ds.height,
-                length=ds.length,
-                prevalence=ds.prevalence,
-                blob_radius=ds.blob_radius,
-                pixel_size_km=ds.pixel_size_km,
-                seed=seed,
-            )
-        )
-
-    train = [gen(ds.train_seed0 + i) for i in range(ds.train_count)]
-    test = [gen(ds.test_seed0 + i) for i in range(ds.test_count)]
+    train = [generate_synthetic(ds.gen_params(ds.train_seed0 + i)) for i in range(ds.train_count)]
+    test = [generate_synthetic(ds.gen_params(ds.test_seed0 + i)) for i in range(ds.test_count)]
     return train, test
 
 
@@ -316,10 +280,13 @@ def _dp_for(
 
     The cache file is named by a hash of the strip digest and of every
     model the table depends on, so a changed reward or geometry misses.
+    The scenario only renames classes, so it is left out.
     """
     if cache_dir is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)
-        models = repr((config.geometry, config.energy, config.rewards))
+        r = config.rewards
+        rewards = (r.reward_low, r.reward_mid, r.reward_high)
+        models = repr((config.geometry, config.energy, rewards))
         key = hashlib.sha256(f"{strip.digest()}|{models}".encode()).hexdigest()
         path = cache_dir / f"{key[:32]}.dpt"
         if path.exists():
@@ -361,6 +328,22 @@ def prepare_bench(config: BenchConfig, outdir=None, progress: bool = False) -> P
     return PreparedBench(config, train, test, test_tables, train_tables)
 
 
+def _demo_pool(prep: PreparedBench) -> DemoSet:
+    """Planner demonstrations from every training strip, unbalanced."""
+    config = prep.config
+    parts = [
+        collect_demonstrations(
+            table,
+            strip,
+            keep_prob=config.bc.keep_prob,
+            seed=config.bc.seed + i,
+            geom=config.geometry,
+        )
+        for i, (strip, table) in enumerate(zip(prep.train_strips, prep.train_tables))
+    ]
+    return merge_demos(parts)
+
+
 def train_learners(prep: PreparedBench, progress: bool = False):
     """Train whatever the roster needs; returns (qtable, bc model)."""
     config = prep.config
@@ -377,17 +360,7 @@ def train_learners(prep: PreparedBench, progress: bool = False):
         if progress:
             print(f"swept q table over {len(prep.train_strips)} strips")
     if "bc" in config.roster:
-        parts = [
-            collect_demonstrations(
-                table,
-                strip,
-                keep_prob=config.bc.keep_prob,
-                seed=config.bc.seed + i,
-                geom=config.geometry,
-            )
-            for i, (strip, table) in enumerate(zip(prep.train_strips, prep.train_tables))
-        ]
-        demos = balance_dataset(merge_demos(parts), seed=config.bc.seed)
+        demos = balance_dataset(_demo_pool(prep), seed=config.bc.seed)
         model = train_bc(demos, config.bc)
         if progress:
             print(f"cloned planner from {len(demos)} balanced demos")
@@ -558,10 +531,7 @@ def emit_report(report: BenchReport, outdir, formats: Sequence[str] = ("csv", "m
 
 
 def _emit_markdown(report: BenchReport, outdir: Path) -> Path:
-    names = {
-        "cloud_avoidance": ("cloud", "mid_cloud", "clear"),
-        "storm_hunting": ("no_storm", "rainy_anvil", "convective_core"),
-    }[report.scenario]
+    names = RewardModel(scenario=report.scenario).class_names()
     lines = [f"# Benchmark report ({report.scenario})\n\n"]
     lines.append("## Time split per policy (mean over test strips, % of steps)\n\n")
     lines.append(f"| policy | off | {names[0]} | {names[1]} | {names[2]} |\n")
@@ -623,17 +593,7 @@ def training_curve(
     pool = None
     pool_order = None
     if "bc" in config.roster:
-        parts = [
-            collect_demonstrations(
-                table,
-                strip,
-                keep_prob=config.bc.keep_prob,
-                seed=config.bc.seed + i,
-                geom=config.geometry,
-            )
-            for i, (strip, table) in enumerate(zip(prep.train_strips, prep.train_tables))
-        ]
-        pool = merge_demos(parts)
+        pool = _demo_pool(prep)
         pool_order = np.random.default_rng(config.bc.seed).permutation(len(pool))
     points: List[CurvePoint] = []
     for f in fractions:

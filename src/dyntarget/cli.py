@@ -36,7 +36,7 @@ from .errors import (
     ResourceError,
 )
 from .qlearn import save_qtable, train_dp_sweep
-from .world import GenParams, class_fractions, generate_synthetic, load_dataset, save_dataset
+from .world import class_fractions, generate_synthetic, load_dataset, save_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,15 +67,7 @@ def _cmd_gen(args) -> int:
     ):
         for i in range(count):
             seed = seed0 + i
-            params = GenParams(
-                height=ds.height,
-                length=ds.length,
-                prevalence=ds.prevalence,
-                blob_radius=ds.blob_radius,
-                pixel_size_km=ds.pixel_size_km,
-                seed=seed,
-            )
-            strip = generate_synthetic(params)
+            strip = generate_synthetic(ds.gen_params(seed))
             path = outdir / f"{role}{i:02d}.dtg"
             save_dataset(
                 strip,
@@ -105,9 +97,9 @@ def _cmd_dp(args) -> int:
 
 def _cmd_train_q(args) -> int:
     config = _load_base_config(args)
-    prep = prepare_bench_no_tables(config)
+    train, _ = resolve_strips(config)
     table = train_dp_sweep(
-        prep,
+        train,
         config.qlearn,
         geom=config.geometry,
         energy=config.energy,
@@ -125,14 +117,8 @@ def _cmd_train_q(args) -> int:
             "sweeps": config.qlearn.sweeps,
         },
     )
-    print(f"{path}  trained on {len(prep)} strips")
+    print(f"{path}  trained on {len(train)} strips")
     return EXIT_OK
-
-
-def prepare_bench_no_tables(config: BenchConfig):
-    """Training strips only; avoids planning test strips needlessly."""
-    train, _ = resolve_strips(config)
-    return train
 
 
 def _cmd_train_bc(args) -> int:

@@ -24,7 +24,6 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,12 +42,13 @@ from .sim import (
     StripIndex,
     strip_index,
 )
-from .world import EnvStrip
+from .world import EnvStrip, check_size, read_checked, write_manifest
 
 N_FEATURES = 13
 LAYER_SIZES = (13, 32, 16, 8, 4, 1)
 
 MODEL_MAGIC = b"DTM1"
+MODEL_HEADER = struct.Struct("<4sI")  # magic, layer count
 
 _EPS = 1e-12
 
@@ -536,27 +536,19 @@ def bc_policy(
 
 def save_model(model: MLPModel, path, manifest: Optional[dict] = None) -> None:
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(model.weights)))
+        fh.write(MODEL_HEADER.pack(MODEL_MAGIC, len(model.weights)))
         for w, b in zip(model.weights, model.biases):
             fh.write(struct.pack("<II", w.shape[0], w.shape[1]))
             fh.write(w.astype("<f4").tobytes())
             fh.write(b.astype("<f4").tobytes())
-    if manifest is not None:
-        lines = [f"{k}={v}\n" for k, v in manifest.items()]
-        Path(str(path) + ".manifest").write_text("".join(lines), encoding="utf-8")
+    write_manifest(path, manifest)
 
 
 def load_model(path) -> MLPModel:
-    data = Path(path).read_bytes()
-    if len(data) < 4 or data[:4] != MODEL_MAGIC:
-        raise FormatError(f"bad magic, expected {MODEL_MAGIC!r}", offset=0)
-    if len(data) < 8:
-        raise FormatError("truncated header", offset=len(data))
-    (n_layers,) = struct.unpack_from("<I", data, 4)
+    data, (n_layers,) = read_checked(path, MODEL_MAGIC, MODEL_HEADER)
     if n_layers == 0 or n_layers > 64:
         raise FormatError(f"unreasonable layer count {n_layers}", offset=4)
-    pos = 8
+    pos = MODEL_HEADER.size
     weights, biases = [], []
     for _ in range(n_layers):
         if len(data) < pos + 8:
@@ -574,8 +566,7 @@ def load_model(path) -> MLPModel:
         pos += fan_out * 4
         weights.append(w.reshape((fan_in, fan_out)).astype(np.float64))
         biases.append(b.astype(np.float64))
-    if pos != len(data):
-        raise FormatError("trailing bytes after payload", offset=pos)
+    check_size(data, pos)
     for prev, nxt in zip(weights[:-1], weights[1:]):
         if prev.shape[1] != nxt.shape[0]:
             raise FormatError("layer shapes do not chain", offset=8)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -37,13 +36,14 @@ from .sim import (
     StripIndex,
     strip_index,
 )
-from .world import EnvStrip, RewardModel
+from .world import EnvStrip, RewardModel, check_size, read_checked
 
 # Enumerating 2^T sequences past this horizon is pointless and slow.
 BRUTE_FORCE_MAX_T = 20
 
 DP_MAGIC = b"DTD1"
-DP_HEADER = struct.Struct("<4sIII")
+# magic, horizon, charge levels, actions, strip digest
+DP_HEADER = struct.Struct("<4sIII32s")
 
 DEFAULT_MEMORY_CAP = 512 * 1024 * 1024
 
@@ -198,26 +198,17 @@ def brute_force_optimal(
 
 def save_dp_table(table: DPTable, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(DP_MAGIC)
-        fh.write(struct.pack("<III", table.horizon, N_SOC, 2))
-        fh.write(bytes.fromhex(table.strip_digest))
+        digest = bytes.fromhex(table.strip_digest)
+        fh.write(DP_HEADER.pack(DP_MAGIC, table.horizon, N_SOC, 2, digest))
         fh.write(table.values.astype("<f4").tobytes())
 
 
 def load_dp_table(path) -> DPTable:
-    data = Path(path).read_bytes()
-    if len(data) < 4 or data[:4] != DP_MAGIC:
-        raise FormatError(f"bad magic, expected {DP_MAGIC!r}", offset=0)
-    if len(data) < 16 + 32:
-        raise FormatError("truncated header", offset=len(data))
-    horizon, n_soc, n_act = struct.unpack_from("<III", data, 4)
+    data, (horizon, n_soc, n_act, digest) = read_checked(path, DP_MAGIC, DP_HEADER)
     if n_soc != N_SOC or n_act != 2 or horizon == 0:
         raise FormatError(f"unsupported dimensions {horizon}x{n_soc}x{n_act}", offset=4)
-    digest = data[16:48].hex()
-    expected = 48 + horizon * n_soc * n_act * 4
-    if len(data) < expected:
-        raise FormatError("truncated payload", offset=len(data))
-    if len(data) > expected:
-        raise FormatError("trailing bytes after payload", offset=expected)
-    values = np.frombuffer(data, dtype="<f4", count=horizon * n_soc * n_act, offset=48)
-    return DPTable(values=values.reshape((horizon, n_soc, n_act)).copy(), strip_digest=digest)
+    count = horizon * n_soc * n_act
+    check_size(data, DP_HEADER.size + count * 4)
+    values = np.frombuffer(data, dtype="<f4", count=count, offset=DP_HEADER.size)
+    values = values.reshape((horizon, n_soc, n_act)).copy()
+    return DPTable(values=values, strip_digest=digest.hex())

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,13 +31,14 @@ from .sim import (
     SOC_MAX,
     strip_index,
 )
-from .world import EnvStrip, RewardModel
+from .world import EnvStrip, RewardModel, check_size, read_checked, write_manifest
 
 N_FLAGS = 6
 N_FLAG_COMBOS = 1 << N_FLAGS  # 64
 N_Q_STATES = N_SOC * N_FLAG_COMBOS  # 6464
 
 Q_MAGIC = b"DTQ1"
+Q_HEADER = struct.Struct("<4sII")  # magic, states, actions
 
 @dataclass(frozen=True)
 class QLearnParams:
@@ -289,29 +289,17 @@ def q_policy(table: QTable, energy: EnergyModel = EnergyModel()) -> Policy:
 
 def save_qtable(table: QTable, path, manifest: Optional[dict] = None) -> None:
     with open(path, "wb") as fh:
-        fh.write(Q_MAGIC)
-        fh.write(struct.pack("<II", N_Q_STATES, 2))
+        fh.write(Q_HEADER.pack(Q_MAGIC, N_Q_STATES, 2))
         fh.write(table.q.astype("<f4").tobytes())
-    if manifest is not None:
-        lines = [f"{k}={v}\n" for k, v in manifest.items()]
-        Path(str(path) + ".manifest").write_text("".join(lines), encoding="utf-8")
+    write_manifest(path, manifest)
 
 
 def load_qtable(path) -> QTable:
-    data = Path(path).read_bytes()
-    if len(data) < 4 or data[:4] != Q_MAGIC:
-        raise FormatError(f"bad magic, expected {Q_MAGIC!r}", offset=0)
-    if len(data) < 12:
-        raise FormatError("truncated header", offset=len(data))
-    n_states, n_actions = struct.unpack_from("<II", data, 4)
+    data, (n_states, n_actions) = read_checked(path, Q_MAGIC, Q_HEADER)
     if n_states != N_Q_STATES or n_actions != 2:
         raise FormatError(f"unsupported table shape {n_states}x{n_actions}", offset=4)
-    expected = 12 + n_states * n_actions * 4
-    if len(data) < expected:
-        raise FormatError("truncated payload", offset=len(data))
-    if len(data) > expected:
-        raise FormatError("trailing bytes after payload", offset=expected)
-    values = np.frombuffer(data, dtype="<f4", count=n_states * n_actions, offset=12)
+    check_size(data, Q_HEADER.size + n_states * n_actions * 4)
+    values = np.frombuffer(data, dtype="<f4", count=n_states * n_actions, offset=Q_HEADER.size)
     table = QTable()
     table.q = values.reshape((n_states, n_actions)).astype(np.float64)
     return table

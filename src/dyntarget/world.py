@@ -333,37 +333,57 @@ def class_fractions(strip: EnvStrip) -> Tuple[float, float, float]:
 # serialization
 # ---------------------------------------------------------------------------
 
-def save_dataset(strip: EnvStrip, path, manifest: Optional[Mapping[str, object]] = None) -> None:
-    """Write ``strip`` to ``path``; optionally write a manifest sidecar."""
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(HEADER.pack(MAGIC, strip.height, strip.length, strip.pixel_size_km))
-        fh.write(strip.cells.tobytes(order="F"))
+def read_checked(path, magic: bytes, header: struct.Struct) -> Tuple[bytes, tuple]:
+    """Read ``path`` whose ``header`` starts with ``magic``.
+
+    Returns the file bytes and the header fields after the magic.
+    """
+    data = Path(path).read_bytes()
+    if data[: len(magic)] != magic:
+        raise FormatError(f"bad magic, expected {magic!r}", offset=0)
+    if len(data) < header.size:
+        raise FormatError("truncated header", offset=len(data))
+    return data, header.unpack_from(data, 0)[1:]
+
+
+def check_size(data: bytes, expected: int) -> None:
+    """Fail unless ``data`` is exactly ``expected`` bytes long."""
+    if len(data) < expected:
+        raise FormatError("truncated payload", offset=len(data))
+    if len(data) > expected:
+        raise FormatError("trailing bytes after payload", offset=expected)
+
+
+def write_manifest(path, manifest: Optional[Mapping[str, object]]) -> None:
+    """Write the ``<path>.manifest`` sidecar, if there is a manifest."""
     if manifest is not None:
         lines = [f"{k}={v}\n" for k, v in manifest.items()]
         Path(str(path) + ".manifest").write_text("".join(lines), encoding="utf-8")
+
+
+def save_dataset(strip: EnvStrip, path, manifest: Optional[Mapping[str, object]] = None) -> None:
+    """Write ``strip`` to ``path``; optionally write a manifest sidecar."""
+    with open(path, "wb") as fh:
+        fh.write(HEADER.pack(MAGIC, strip.height, strip.length, strip.pixel_size_km))
+        fh.write(strip.cells.tobytes(order="F"))
+    write_manifest(path, manifest)
 
 
 def load_dataset(path) -> EnvStrip:
     """Read a strip written by :func:`save_dataset`.
 
     Raises FormatError naming the byte offset on a bad magic, truncated
-    header or payload, trailing bytes, nonsense dimensions, or an invalid
-    class byte.
+    header or payload, trailing bytes, nonsense dimensions or pixel
+    size, or an invalid class byte.
     """
-    data = Path(path).read_bytes()
-    if len(data) < 4 or data[:4] != MAGIC:
-        raise FormatError(f"bad magic, expected {MAGIC!r}", offset=0)
-    if len(data) < HEADER.size:
-        raise FormatError("truncated header", offset=len(data))
-    _, h, w, px = HEADER.unpack_from(data, 0)
+    data, (h, w, px) = read_checked(path, MAGIC, HEADER)
     if h == 0 or w == 0 or h * w > MAX_CELLS:
         raise FormatError(f"unreasonable dimensions {h}x{w}", offset=4)
-    expected = HEADER.size + h * w
-    if len(data) < expected:
-        raise FormatError("truncated payload", offset=len(data))
-    if len(data) > expected:
-        raise FormatError("trailing bytes after payload", offset=expected)
+    if h % 2 == 0:
+        raise FormatError(f"height must be odd, got {h}", offset=4)
+    if not (px > 0):
+        raise FormatError(f"pixel size must be positive, got {px}", offset=12)
+    check_size(data, HEADER.size + h * w)
     flat = np.frombuffer(data, dtype=np.uint8, count=h * w, offset=HEADER.size)
     bad = np.nonzero(flat >= N_CLASSES)[0]
     if bad.size:

@@ -16,7 +16,7 @@ from dyntarget import (
     run_benchmark,
     training_curve,
 )
-from dyntarget.bench import CSV_HEADER, curve_to_csv
+from dyntarget.bench import CONFIG_KEYS, CSV_HEADER, curve_to_csv
 from dyntarget.world import GenParams, generate_synthetic
 from dyntarget.errors import ConfigError, ParameterError
 
@@ -92,6 +92,77 @@ def test_config_round_trips_values(tmp_path):
 def test_config_rejections(tmp_path, text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         load_config(write_config(tmp_path, text))
+
+
+# every public config key with the text of its default
+DEFAULT_KEYS = {
+    "scenario": "cloud_avoidance",
+    "seed": "0",
+    "soc0": "100",
+    "geometry.altitude_km": "400.0",
+    "geometry.radar_half_angle_deg": "15.0",
+    "geometry.lookahead_half_angle_deg": "45.0",
+    "geometry.pixel_size_km": "7.0",
+    "energy.sample_discharge": "5",
+    "energy.recharge_per_step": "1",
+    "rewards.low": "1.0",
+    "rewards.mid": "10.0",
+    "rewards.high": "100.0",
+    "datasets.height": "31",
+    "datasets.length": "10000",
+    "datasets.prevalence": "0.64, 0.26, 0.10",
+    "datasets.blob_radius": "3.0, 4.0, 14.0",
+    "datasets.pixel_size_km": "7.0",
+    "datasets.train_count": "4",
+    "datasets.test_count": "10",
+    "datasets.train_seed0": "100",
+    "datasets.test_seed0": "5000",
+    "datasets.train_paths": "",
+    "datasets.test_paths": "",
+    "roster": "random, greedy_nadir, greedy_lateral, greedy_radar, greedy_window, bc, qlearn, dp",
+    "random.p_sample": "0.2",
+    "thresholds.need_high": "5",
+    "thresholds.need_mid": "50",
+    "thresholds.need_low": "100",
+    "qlearn.alpha": "0.4",
+    "qlearn.gamma": "0.99",
+    "qlearn.epsilon": "0.1",
+    "qlearn.sweeps": "5",
+    "qlearn.seed": "0",
+    "bc.keep_prob": "0.08",
+    "bc.loss": "bce",
+    "bc.learning_rate": "1e-3",
+    "bc.batch_size": "64",
+    "bc.max_epochs": "400",
+    "bc.patience": "30",
+    "bc.val_fraction": "0.1",
+    "bc.seed": "0",
+    "bc.mode": "stochastic",
+}
+
+
+def test_public_config_keys_are_pinned():
+    assert len(DEFAULT_KEYS) == 42
+    assert sorted(CONFIG_KEYS) == sorted(DEFAULT_KEYS)
+
+
+@pytest.mark.parametrize("key", sorted(DEFAULT_KEYS))
+def test_each_key_set_to_its_default_gives_the_default(tmp_path, key):
+    text = f"{key} = {DEFAULT_KEYS[key]}\n"
+    assert load_config(write_config(tmp_path, text)) == BenchConfig()
+
+
+def test_all_keys_set_to_their_defaults_give_the_default(tmp_path):
+    text = "".join(f"{key} = {value}\n" for key, value in DEFAULT_KEYS.items())
+    assert load_config(write_config(tmp_path, text)) == BenchConfig()
+
+
+@pytest.mark.parametrize(
+    "key", ["rewards.off", "rewards.scenario", "rewards.reward_low", "p_sample", "bc.bc_mode"]
+)
+def test_hidden_and_aliased_field_names_are_not_keys(tmp_path, key):
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        load_config(write_config(tmp_path, f"{key} = 1\n"))
 
 
 def test_dataset_spec_guards_overlap(tmp_path):
@@ -171,6 +242,9 @@ def test_benchmark_caches_planner_tables(tmp_path):
     assert [row.total_reward for row in again.rows] == [
         row.total_reward for row in run_benchmark(config).rows
     ]
+    # the scenario only renames classes, so it reuses the same tables
+    run_benchmark(dataclasses.replace(config, scenario="storm_hunting"), outdir=tmp_path)
+    assert sorted(p.name for p in (tmp_path / "dp_cache").iterdir()) == cached
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from dyntarget import load_dataset, load_dp_table, load_model, load_qtable
 from dyntarget.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from dyntarget.world import HEADER, MAGIC
 
 TINY_CFG = """
 datasets.length = 400
@@ -63,6 +64,14 @@ def test_dp_plans_a_dataset(tmp_path, cfg, capsys):
 def test_dp_missing_dataset_is_a_data_error(tmp_path, cfg, capsys):
     code = main(["dp", "--config", cfg(), "--data", str(tmp_path / "nope.dtg"),
                  "--out", str(tmp_path / "o")])
+    assert code == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+
+
+def test_malformed_dataset_header_is_a_data_error(tmp_path, cfg, capsys):
+    data = tmp_path / "even.dtg"
+    data.write_bytes(HEADER.pack(MAGIC, 2, 5, 7.0) + bytes(10))
+    code = main(["dp", "--config", cfg(), "--data", str(data), "--out", str(tmp_path / "o")])
     assert code == EXIT_DATA
     assert "data error" in capsys.readouterr().err
 

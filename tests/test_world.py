@@ -192,6 +192,18 @@ def test_unreasonable_dimensions(tmp_path):
     assert err.value.offset == 4
 
 
+@pytest.mark.parametrize(
+    "height, pixel, offset",
+    [(2, 7.0, 4), (4, 7.0, 4), (3, -1.0, 12), (3, 0.0, 12), (3, float("nan"), 12)],
+)
+def test_header_values_the_strip_rejects(tmp_path, height, pixel, offset):
+    path = tmp_path / "bad.dtg"
+    path.write_bytes(HEADER.pack(MAGIC, height, 5, pixel) + b"\x00" * (height * 5))
+    with pytest.raises(FormatError) as err:
+        load_dataset(path)
+    assert err.value.offset == offset
+
+
 def test_truncated_payload(tmp_path):
     path = tmp_path / "bad.dtg"
     path.write_bytes(HEADER.pack(MAGIC, 3, 5, 7.0) + b"\x00" * 10)
