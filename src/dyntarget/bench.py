@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import time
+import math
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,15 +44,13 @@ from .heuristics import (
 from .qlearn import QLearnParams, QTable, q_policy, train_dp_sweep
 from .sim import (
     EnergyModel,
-    Observation,
+    EpisodeLog,
     SensorGeometry,
     SOC_MAX,
+    _rollout,
     run_episode,
-    soc_transition,
-    strip_index,
-    Action,
 )
-from .world import EnvStrip, GenParams, RewardModel, generate_synthetic, load_dataset
+from .world import EnvStrip, GenParams, RewardClass, RewardModel, generate_synthetic, load_dataset
 
 KNOWN_POLICIES = (
     "random",
@@ -108,6 +106,17 @@ class DatasetSpec:
             pixel_size_km=self.pixel_size_km,
             seed=seed,
         )
+
+    def strips(self, role: str) -> Iterator[EnvStrip]:
+        """The ``"train"`` or ``"test"`` strips, one at a time: loaded from
+        the configured paths, else generated."""
+        if self.train_paths or self.test_paths:
+            if not (self.train_paths and self.test_paths):
+                raise ConfigError("provide both train and test paths, or neither")
+            return map(load_dataset, getattr(self, f"{role}_paths"))
+        seed0 = getattr(self, f"{role}_seed0")
+        count = getattr(self, f"{role}_count")
+        return (generate_synthetic(self.gen_params(seed0 + i)) for i in range(count))
 
 
 @dataclass(frozen=True)
@@ -261,16 +270,11 @@ def build_config(entries: Dict[str, str]) -> BenchConfig:
 
 def resolve_strips(config: BenchConfig) -> Tuple[List[EnvStrip], List[EnvStrip]]:
     """(train, test) strips: loaded from the configured paths, else generated."""
-    ds = config.datasets
-    if ds.train_paths or ds.test_paths:
-        if not (ds.train_paths and ds.test_paths):
-            raise ConfigError("provide both train and test paths, or neither")
-        train = [load_dataset(p) for p in ds.train_paths]
-        test = [load_dataset(p) for p in ds.test_paths]
-        return train, test
-    train = [generate_synthetic(ds.gen_params(ds.train_seed0 + i)) for i in range(ds.train_count)]
-    test = [generate_synthetic(ds.gen_params(ds.test_seed0 + i)) for i in range(ds.test_count)]
-    return train, test
+    return list(config.datasets.strips("train")), list(config.datasets.strips("test"))
+
+
+def _cache_dir(outdir) -> Optional[Path]:
+    return Path(outdir) / "dp_cache" if outdir is not None else None
 
 
 def _dp_for(
@@ -310,22 +314,29 @@ class PreparedBench:
     train_tables: List[DPTable]
 
 
+def prepare_training(config: BenchConfig, outdir=None) -> PreparedBench:
+    """The training strips, planned when the roster has the cloner; no
+    test strips."""
+    train = list(config.datasets.strips("train"))
+    tables = []
+    if "bc" in config.roster:
+        cache_dir = _cache_dir(outdir)
+        tables = [_dp_for(strip, config, cache_dir) for strip in train]
+    return PreparedBench(config, train, [], [], tables)
+
+
 def prepare_bench(config: BenchConfig, outdir=None, progress: bool = False) -> PreparedBench:
-    cache_dir = Path(outdir) / "dp_cache" if outdir is not None else None
-    train, test = resolve_strips(config)
+    """``prepare_training`` plus every test strip and its planner table."""
+    prep = prepare_training(config, outdir)
+    prep.test_strips = list(config.datasets.strips("test"))
     if progress:
-        print(f"resolved {len(train)} train / {len(test)} test strips")
-    need_train_tables = "bc" in config.roster
-    test_tables = []
-    for i, strip in enumerate(test):
-        test_tables.append(_dp_for(strip, config, cache_dir))
+        print(f"resolved {len(prep.train_strips)} train / {len(prep.test_strips)} test strips")
+    cache_dir = _cache_dir(outdir)
+    for i, strip in enumerate(prep.test_strips):
+        prep.test_tables.append(_dp_for(strip, config, cache_dir))
         if progress:
             print(f"planned test strip {i}")
-    train_tables = []
-    if need_train_tables:
-        for strip in train:
-            train_tables.append(_dp_for(strip, config, cache_dir))
-    return PreparedBench(config, train, test, test_tables, train_tables)
+    return prep
 
 
 def _demo_pool(prep: PreparedBench) -> DemoSet:
@@ -452,6 +463,31 @@ CSV_HEADER = (
 )
 
 
+def _pct_of_dp(total: float, dp_value: float) -> float:
+    """``total`` as a percentage of the planner's value.
+
+    A strip worth nothing to the planner reads 100 for a zero total and
+    an infinity with the total's sign otherwise.
+    """
+    if dp_value > 0:
+        return 100.0 * total / dp_value
+    return 100.0 if total == 0 else math.copysign(math.inf, total)
+
+
+def _score(prep: PreparedBench, policy: Optional[Policy]) -> List[Tuple[EpisodeLog, float]]:
+    """(episode, percent of DP) on each test strip; no policy means the
+    planner's own readout."""
+    config = prep.config
+    scored = []
+    for strip, table in zip(prep.test_strips, prep.test_tables):
+        run = policy if policy is not None else dp_policy(table, strip)
+        log = run_episode(
+            strip, config.geometry, config.energy, config.rewards, run, soc0=config.soc0
+        )
+        scored.append((log, _pct_of_dp(log.total_reward, table.root_value(config.soc0))))
+    return scored
+
+
 def run_benchmark(config: BenchConfig, outdir=None, progress: bool = False) -> BenchReport:
     """Score the whole roster on every test strip."""
     prep = prepare_bench(config, outdir=outdir, progress=progress)
@@ -460,23 +496,7 @@ def run_benchmark(config: BenchConfig, outdir=None, progress: bool = False) -> B
     rows: List[ReportRow] = []
     for name in config.roster:
         policy = _build_policy(name, config, qtable, model)
-        for label, strip, table in zip(labels, prep.test_strips, prep.test_tables):
-            if name == "dp":
-                policy = dp_policy(table, strip)
-            log = run_episode(
-                strip,
-                config.geometry,
-                config.energy,
-                config.rewards,
-                policy,
-                soc0=config.soc0,
-            )
-            dp_value = table.root_value(config.soc0)
-            if dp_value > 0:
-                pct = 100.0 * log.total_reward / dp_value
-            else:
-                pct = 100.0 if log.total_reward == 0 else float("inf")
-            n = log.n_steps
+        for label, (log, pct) in zip(labels, _score(prep, policy)):
             rows.append(
                 ReportRow(
                     policy=name,
@@ -484,9 +504,9 @@ def run_benchmark(config: BenchConfig, outdir=None, progress: bool = False) -> B
                     total_reward=log.total_reward,
                     pct_of_dp=pct,
                     frac_off=log.off_fraction,
-                    frac_low=log.class_counts[0] / n,
-                    frac_mid=log.class_counts[1] / n,
-                    frac_high=log.class_counts[2] / n,
+                    frac_low=log.class_fraction(RewardClass.LOW),
+                    frac_mid=log.class_fraction(RewardClass.MID),
+                    frac_high=log.class_fraction(RewardClass.HIGH),
                     violations=log.violations,
                     mean_decide_us=log.mean_decide_us,
                 )
@@ -606,7 +626,8 @@ def training_curve(
                 energy=config.energy,
                 rewards=config.rewards,
             )
-            points.append(_curve_point("qlearn", f, q_policy(qtable, config.energy), prep))
+            policy = _build_policy("qlearn", config, qtable, None)
+            points.append(_curve_point("qlearn", f, policy, prep))
         if "bc" in config.roster:
             if f >= 1.0:
                 sub = pool
@@ -615,14 +636,7 @@ def training_curve(
                 sub = take_demos(pool, pool_order[:n_f])
             demos = balance_dataset(sub, seed=config.bc.seed)
             model = train_bc(demos, config.bc)
-            points.append(
-                _curve_point(
-                    "bc",
-                    f,
-                    bc_policy(model, config.bc_mode, seed=config.seed + 29, energy=config.energy),
-                    prep,
-                )
-            )
+            points.append(_curve_point("bc", f, _build_policy("bc", config, None, model), prep))
         if progress:
             got = [p for p in points if abs(p.fraction - f) < 1e-12]
             print(f"fraction {f}: " + ", ".join(f"{p.learner} {p.mean_pct:.2f}%" for p in got))
@@ -630,14 +644,7 @@ def training_curve(
 
 
 def _curve_point(learner, fraction, policy, prep: PreparedBench) -> CurvePoint:
-    config = prep.config
-    pcts = []
-    for strip, table in zip(prep.test_strips, prep.test_tables):
-        log = run_episode(
-            strip, config.geometry, config.energy, config.rewards, policy, soc0=config.soc0
-        )
-        dp_value = table.root_value(config.soc0)
-        pcts.append(100.0 * log.total_reward / dp_value if dp_value > 0 else 100.0)
+    pcts = [pct for _, pct in _score(prep, policy)]
     return CurvePoint(
         learner=learner,
         fraction=fraction,
@@ -682,31 +689,13 @@ def measure_latency(
 
     Only ``decide`` is timed; observation bookkeeping runs outside the
     clock.  The trajectory wraps around the strip if ``n_steps`` exceeds
-    its length, resetting charge at each wrap.
+    its length, resetting charge at each wrap.  Otherwise it runs as
+    ``run_episode`` does, violations and policy errors included.
     """
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
-    index = strip_index(strip, geom)
-    reset = getattr(policy, "reset", None)
-    if reset is not None:
-        reset()
-    samples = np.empty(n_steps)
-    soc = soc0
-    t = 1
-    perf = time.perf_counter_ns
-    for i in range(n_steps):
-        obs = Observation(strip, geom, t, soc, index)
-        start = perf()
-        action = policy.decide(obs)
-        samples[i] = perf() - start
-        if action == Action.SAMPLE and soc < energy.sample_discharge:
-            action = Action.OFF
-        soc = soc_transition(energy, soc, action)
-        t += 1
-        if t > strip.length:
-            t = 1
-            soc = soc0
-    us = samples / 1000.0
+    _, decide_ns = _rollout(strip, geom, energy, RewardModel(), policy, soc0, None, n_steps)
+    us = np.array(decide_ns, dtype=np.float64) / 1000.0
     return LatencyStats(
         mean_us=float(us.mean()),
         p50_us=float(np.percentile(us, 50)),

@@ -19,8 +19,7 @@ from .bench import (
     emit_report,
     load_config,
     measure_latency,
-    prepare_bench,
-    resolve_strips,
+    prepare_training,
     run_benchmark,
     train_learners,
     training_curve,
@@ -35,7 +34,7 @@ from .errors import (
     ParameterError,
     ResourceError,
 )
-from .qlearn import save_qtable, train_dp_sweep
+from .qlearn import save_qtable
 from .world import class_fractions, generate_synthetic, load_dataset, save_dataset
 
 EXIT_OK = 0
@@ -96,15 +95,9 @@ def _cmd_dp(args) -> int:
 
 
 def _cmd_train_q(args) -> int:
-    config = _load_base_config(args)
-    train, _ = resolve_strips(config)
-    table = train_dp_sweep(
-        train,
-        config.qlearn,
-        geom=config.geometry,
-        energy=config.energy,
-        rewards=config.rewards,
-    )
+    config = dataclasses.replace(_load_base_config(args), roster=("qlearn",))
+    prep = prepare_training(config)
+    table, _ = train_learners(prep)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "qtable.dtq"
@@ -117,14 +110,14 @@ def _cmd_train_q(args) -> int:
             "sweeps": config.qlearn.sweeps,
         },
     )
-    print(f"{path}  trained on {len(train)} strips")
+    print(f"{path}  trained on {len(prep.train_strips)} strips")
     return EXIT_OK
 
 
 def _cmd_train_bc(args) -> int:
     config = _load_base_config(args)
     config = dataclasses.replace(config, roster=("bc",))
-    prep = prepare_bench(config, outdir=args.out)
+    prep = prepare_training(config, outdir=args.out)
     _, model = train_learners(prep, progress=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -165,9 +158,8 @@ def _cmd_curve(args) -> int:
 
 def _cmd_latency(args) -> int:
     config = _load_base_config(args)
-    prep = prepare_bench(config, outdir=args.out)
-    qtable, model = train_learners(prep)
-    strip = prep.test_strips[0]
+    qtable, model = train_learners(prepare_training(config, outdir=args.out))
+    strip = next(config.datasets.strips("test"))
     print("policy,mean_us,p50_us,p95_us,max_us")
     for name in config.roster:
         if name == "dp":

@@ -34,6 +34,7 @@ from .sim import (
     SensorGeometry,
     SOC_MAX,
     StripIndex,
+    charge_rule,
     strip_index,
 )
 from .world import EnvStrip, RewardModel, check_size, read_checked
@@ -93,12 +94,9 @@ def build_dp_table(
         index = strip_index(strip, geom)
 
     r_sample = rewards.values()[index.radar_best]  # (T,) float32
-    d = energy.sample_discharge
-    re = energy.recharge_per_step
-    socs = np.arange(N_SOC)
-    soc_off = np.minimum(socs + re, SOC_MAX)
-    soc_smp = np.clip(socs - d + re, 0, SOC_MAX)
-    feasible = socs >= d
+    soc_off, soc_smp = charge_rule(energy)
+    # an unaffordable sample's -1 reads the last row, which np.where drops
+    feasible = soc_smp >= 0
 
     values = np.empty((horizon, N_SOC, 2), dtype=np.float32)
     values[horizon - 1, :, 0] = 0.0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .sim import Action, EnergyModel, Observation, Placement, Policy
+from .sim import Action, EnergyModel, Observation, Placement, Policy, sampled_class
 from .world import RewardClass
 
 
@@ -73,15 +73,8 @@ class _GreedyThreshold(Policy):
         self.rule = rule
         self.energy = energy
 
-    def _in_view(self, obs: Observation) -> RewardClass:
-        if self.placement == Placement.NADIR:
-            return obs.nadir_class()
-        if self.placement == Placement.LATERAL:
-            return obs.lateral_best_class()
-        return obs.radar_best_class()
-
     def decide(self, obs: Observation) -> Action:
-        cls = self._in_view(obs)
+        cls = sampled_class(obs.index, obs.t, self.placement)
         need = max(self.energy.sample_discharge, self.rule.need(cls))
         return Action.SAMPLE if obs.soc >= need else Action.OFF
 

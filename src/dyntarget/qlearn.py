@@ -29,6 +29,8 @@ from .sim import (
     Policy,
     SensorGeometry,
     SOC_MAX,
+    charge_rule,
+    run_as,
     strip_index,
 )
 from .world import EnvStrip, RewardModel, check_size, read_checked, write_manifest
@@ -135,6 +137,7 @@ def _sweep(q, visits, flags, r_sample, alpha, gamma, discharge, recharge):
     ``flags`` and ``r_sample`` are per-column state bits and sample
     rewards; updates beyond the horizon bootstrap from zero.  Updates are
     in place (Gauss-Seidel): a later cell reads what an earlier one wrote.
+    The row each cell reads next comes from ``charge_rule``.
 
     Within one timestep an Off update reads row min(soc + recharge, 100),
     never below ``soc``, so it always sees the value from before the
@@ -152,10 +155,9 @@ def _sweep(q, visits, flags, r_sample, alpha, gamma, discharge, recharge):
     visits_by_flag[:, :, 0] += counts
     visits_by_flag[discharge:, :, 1] += counts
 
-    step = discharge - recharge
-    off_next = np.minimum(np.arange(N_SOC) + recharge, SOC_MAX)
-    smp_next = np.arange(discharge, N_SOC) - step
-    smp_rows = range(discharge, N_SOC)
+    off_next, smp_next = charge_rule(EnergyModel(discharge, recharge))
+    smp_next = smp_next[discharge:]
+    smp_rows = list(zip(range(discharge, N_SOC), smp_next.tolist()))
     follow = np.zeros(N_SOC)  # past the horizon
     flag_list = flags.tolist()
     r_list = r_sample.tolist()
@@ -175,9 +177,9 @@ def _sweep(q, visits, flags, r_sample, alpha, gamma, discharge, recharge):
         else:
             off = q_off.tolist()
             smp = rows[:, 1].tolist()
-            for soc in smp_rows:
-                a = off[soc - step]
-                b = smp[soc - step]
+            for soc, nxt in smp_rows:
+                a = off[nxt]
+                b = smp[nxt]
                 v = smp[soc]
                 smp[soc] = v + alpha * (r_t + gamma * (b if b > a else a) - v)
             rows[discharge:, 1] = smp[discharge:]
@@ -236,7 +238,7 @@ def train_epsilon_greedy(
     flags = idx.qflag.astype(np.int64)
     r_sample = rewards.values()[idx.radar_best].astype(np.float64)
     horizon = strip.length
-    d, re = energy.sample_discharge, energy.recharge_per_step
+    rule = charge_rule(energy).tolist()
     rng = np.random.default_rng(params.seed)
     q = table.q
     for _ in range(episodes):
@@ -247,14 +249,8 @@ def train_epsilon_greedy(
                 action = Action.OFF if rng.random() < 0.5 else Action.SAMPLE
             else:
                 action = Action.SAMPLE if q[s, 1] > q[s, 0] else Action.OFF
-            if action == Action.SAMPLE and soc < d:
-                action = Action.OFF
-            if action == Action.SAMPLE:
-                reward = float(r_sample[t0])
-                nsoc = min(max(soc - d + re, 0), SOC_MAX)
-            else:
-                reward = 0.0
-                nsoc = min(soc + re, SOC_MAX)
+            action, nsoc = run_as(rule, soc, action)
+            reward = float(r_sample[t0]) if action == Action.SAMPLE else 0.0
             s_next = None if t0 == horizon - 1 else int(nsoc * N_FLAG_COMBOS + flags[t0 + 1])
             q_update(table, int(s), action, reward, s_next, params)
             soc = nsoc

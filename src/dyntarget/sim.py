@@ -127,9 +127,6 @@ class EnergyModel:
                 f"{self.recharge_per_step}, {self.sample_discharge}"
             )
 
-    def feasible(self, soc: int, action: Action) -> bool:
-        return action == Action.OFF or soc >= self.sample_discharge
-
 
 @dataclass(frozen=True)
 class SatState:
@@ -145,17 +142,36 @@ class SatState:
             raise ParameterError(f"soc out of [0, {SOC_MAX}]: {self.soc}")
 
 
+@lru_cache(maxsize=32)
+def charge_rule(energy: EnergyModel) -> np.ndarray:
+    """EnergyModel's rule as a read-only table ``[action, soc]`` -> next
+    charge, clamped to 0..SOC_MAX; -1 marks an unaffordable sample."""
+    spend = np.array([[0], [energy.sample_discharge]])
+    table = np.clip(np.arange(N_SOC) - spend + energy.recharge_per_step, 0, SOC_MAX)
+    table[Action.SAMPLE, : energy.sample_discharge] = -1
+    table.flags.writeable = False
+    return table
+
+
+def run_as(rule: List[List[int]], soc: int, action: Action) -> Tuple[Action, int]:
+    """(action executed, next charge) under ``charge_rule(...).tolist()``:
+    a sample the charge cannot cover runs as Off."""
+    next_soc = rule[action][soc]
+    if next_soc < 0:
+        return Action.OFF, rule[Action.OFF][soc]
+    return action, next_soc
+
+
 def soc_transition(energy: EnergyModel, soc: int, action: Action) -> int:
     """Charge after one step; raises on an unaffordable sample."""
     if not (0 <= soc <= SOC_MAX):
         raise ParameterError(f"soc out of [0, {SOC_MAX}]: {soc}")
-    if action == Action.OFF:
-        return min(soc + energy.recharge_per_step, SOC_MAX)
-    if soc < energy.sample_discharge:
+    next_soc = int(charge_rule(energy)[int(action), soc])
+    if next_soc < 0:
         raise InfeasibleActionError(
             f"sample needs {energy.sample_discharge}% charge, have {soc}%"
         )
-    return min(max(soc - energy.sample_discharge + energy.recharge_per_step, 0), SOC_MAX)
+    return next_soc
 
 
 @lru_cache(maxsize=32)
@@ -492,17 +508,13 @@ def step(
         raise IndexError(f"timestep {state.t} outside 1..{strip.length}")
     if index is None:
         index = strip_index(strip, geom)
+    next_soc = soc_transition(energy, state.soc, action)
     if action == Action.SAMPLE:
-        if state.soc < energy.sample_discharge:
-            raise InfeasibleActionError(
-                f"sample needs {energy.sample_discharge}% charge, have {state.soc}%"
-            )
         cls = sampled_class(index, state.t, placement)
         reward = rewards.value_of(cls)
     else:
         cls = None
         reward = 0.0
-    next_soc = soc_transition(energy, state.soc, action)
     return SatState(state.t + 1, next_soc), reward, cls
 
 
@@ -556,6 +568,72 @@ class EpisodeLog:
         Path(path).write_text("".join(lines), encoding="utf-8")
 
 
+def _rollout(
+    strip: EnvStrip,
+    geom: SensorGeometry,
+    energy: EnergyModel,
+    rewards: RewardModel,
+    policy,
+    soc0: int,
+    index: Optional[StripIndex],
+    n_steps: int,
+) -> Tuple[EpisodeLog, List[int]]:
+    """``policy``'s log over ``n_steps`` decisions, and each ``decide``
+    call's time in ns.  The policy is reset once; past the strip's end
+    the walk wraps to timestep 1 and charge ``soc0``."""
+    if not (0 <= soc0 <= SOC_MAX):
+        raise ParameterError(f"soc0 out of [0, {SOC_MAX}]: {soc0}")
+    if index is None:
+        index = strip_index(strip, geom)
+    reset = getattr(policy, "reset", None)
+    if reset is not None:
+        reset()
+    placement = getattr(policy, "placement", Placement.DISC)
+    rule = charge_rule(energy).tolist()
+    values = rewards.values().tolist()
+
+    steps: List[StepRecord] = []
+    soc, t = soc0, 1
+    total = 0.0
+    counts = [0, 0, 0]
+    violations = 0
+    decide_ns: List[int] = []
+    perf = time.perf_counter_ns
+    for _ in range(n_steps):
+        obs = Observation(strip, geom, t, soc, index)
+        t0 = perf()
+        try:
+            wanted = policy.decide(obs)
+        except Exception as exc:
+            raise EpisodeError(f"policy failed at step {t}: {exc}", step=t) from exc
+        decide_ns.append(perf() - t0)
+        action, next_soc = run_as(rule, soc, wanted)
+        violations += action != wanted
+        if action == Action.SAMPLE:
+            cls = sampled_class(index, t, placement)
+            reward = values[cls]
+            counts[cls] += 1
+            total += reward
+        else:
+            cls = None
+            reward = 0.0
+        steps.append(StepRecord(t, soc, Action(action), cls, reward))
+        soc, t = next_soc, t + 1
+        if t > strip.length:
+            soc, t = soc0, 1
+
+    log = EpisodeLog(
+        steps=steps,
+        soc0=soc0,
+        total_reward=total,
+        class_counts=(counts[0], counts[1], counts[2]),
+        off_count=n_steps - sum(counts),
+        violations=violations,
+        mean_decide_us=sum(decide_ns) / max(n_steps, 1) / 1000.0,
+    )
+    return log, decide_ns
+
+
 def run_episode(
     strip: EnvStrip,
     geom: SensorGeometry,
@@ -573,53 +651,4 @@ def run_episode(
     repeat runs identical.  A policy exception is re-raised as
     EpisodeError naming the step.
     """
-    if not (0 <= soc0 <= SOC_MAX):
-        raise ParameterError(f"soc0 out of [0, {SOC_MAX}]: {soc0}")
-    if index is None:
-        index = strip_index(strip, geom)
-    reset = getattr(policy, "reset", None)
-    if reset is not None:
-        reset()
-    placement = getattr(policy, "placement", Placement.DISC)
-    discharge = energy.sample_discharge
-
-    steps: List[StepRecord] = []
-    soc = soc0
-    total = 0.0
-    counts = [0, 0, 0]
-    off_count = 0
-    violations = 0
-    decide_ns = 0
-    perf = time.perf_counter_ns
-    for t in range(1, strip.length + 1):
-        obs = Observation(strip, geom, t, soc, index)
-        t0 = perf()
-        try:
-            action = policy.decide(obs)
-        except Exception as exc:
-            raise EpisodeError(f"policy failed at step {t}: {exc}", step=t) from exc
-        decide_ns += perf() - t0
-        if action == Action.SAMPLE and soc < discharge:
-            action = Action.OFF
-            violations += 1
-        if action == Action.SAMPLE:
-            cls = sampled_class(index, t, placement)
-            reward = rewards.value_of(cls)
-            counts[int(cls)] += 1
-            total += reward
-        else:
-            cls = None
-            reward = 0.0
-            off_count += 1
-        steps.append(StepRecord(t, soc, Action(action), cls, reward))
-        soc = soc_transition(energy, soc, action)
-
-    return EpisodeLog(
-        steps=steps,
-        soc0=soc0,
-        total_reward=total,
-        class_counts=(counts[0], counts[1], counts[2]),
-        off_count=off_count,
-        violations=violations,
-        mean_decide_us=decide_ns / max(strip.length, 1) / 1000.0,
-    )
+    return _rollout(strip, geom, energy, rewards, policy, soc0, index, strip.length)[0]

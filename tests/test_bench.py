@@ -1,5 +1,6 @@
 """Harness: config parsing, report plumbing, small end-to-end runs."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from dyntarget import (
     BenchConfig,
     DatasetSpec,
     EnergyModel,
+    RewardModel,
     SensorGeometry,
     emit_report,
     greedy_nadir,
@@ -308,6 +310,29 @@ def test_full_fraction_matches_the_plain_benchmark(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "learner,fraction,mean_pct,min_pct,max_pct"
     assert len(lines) == 3
+
+
+def test_zero_value_strips_score_by_the_sign_of_the_total():
+    # with only losses on offer the planner never samples, so every test
+    # strip is worth 0 to it; a policy that samples anyway has lost reward
+    # and must rank below the planner, in the report and on the curve
+    config = BenchConfig(
+        rewards=RewardModel(reward_low=-5.0, reward_mid=-2.0, reward_high=-1.0),
+        roster=("random", "qlearn", "bc", "dp"),
+        datasets=dataclasses.replace(TINY, length=200),
+        bc=dataclasses.replace(BenchConfig().bc, max_epochs=3),
+    )
+    report = run_benchmark(config)
+    for policy in ("random", "bc"):
+        rows = report.rows_for(policy)
+        assert all(r.total_reward < 0 and r.pct_of_dp == -math.inf for r in rows)
+    for policy in ("qlearn", "dp"):
+        rows = report.rows_for(policy)
+        assert all(r.total_reward == 0 and r.pct_of_dp == 100.0 for r in rows)
+
+    points = {p.learner: p for p in training_curve(config, [1.0])}
+    assert points["bc"].max_pct == -math.inf
+    assert points["qlearn"].min_pct == 100.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from dyntarget import load_dataset, load_dp_table, load_model, load_qtable
+from dyntarget import bench, load_dataset, load_dp_table, load_model, load_qtable
 from dyntarget.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from dyntarget.world import HEADER, MAGIC
 
@@ -163,3 +163,34 @@ def test_latency_prints_per_policy_stats(tmp_path, cfg, capsys):
     assert timed == ["random", "greedy_window"]  # the planner is not timed
     for line in lines[1:]:
         assert all(float(f) > 0 for f in line.split(",")[1:])
+
+
+@pytest.mark.parametrize("command, generated, planned", [
+    (["train-q"], 1, 0),
+    (["train-bc"], 1, 1),
+    (["latency", "--steps", "20"], 2, 1),  # the train strip and test00, unplanned
+], ids=["train-q", "train-bc", "latency"])
+def test_commands_touch_only_the_strips_they_use(tmp_path, monkeypatch, command,
+                                                 generated, planned):
+    calls = {"generate_synthetic": 0, "build_dp_table": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(bench, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, name, counted)
+    config = tmp_path / "bench.cfg"
+    config.write_text(TINY_CFG.replace("test_count = 2", "test_count = 5"), encoding="utf-8")
+    code = main(command + ["--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    assert calls == {"generate_synthetic": generated, "build_dp_table": planned}
+
+
+def test_train_commands_still_need_both_paths_or_neither(tmp_path, cfg, capsys):
+    data = tmp_path / "data"
+    main(["gen", "--config", cfg(), "--out", str(data)])
+    extra = f"datasets.train_paths = {data / 'train00.dtg'}\n"
+    for command in ("train-q", "train-bc", "latency"):
+        code = main([command, "--config", cfg(extra), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "both train and test paths" in capsys.readouterr().err

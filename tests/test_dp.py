@@ -124,23 +124,32 @@ def test_value_is_monotone_in_charge(geom_small):
 # optimality
 # ---------------------------------------------------------------------------
 
-def test_matches_brute_force_on_random_instances(geom_small):
+# (discharge, recharge): the default, the cheapest sample, larger steps,
+# and a sample that needs a full battery
+ENERGY_MODELS = [(5, 1), (2, 1), (7, 2), (3, 2), (100, 99)]
+
+
+@pytest.mark.parametrize("discharge, recharge", ENERGY_MODELS)
+def test_matches_brute_force_on_random_instances(geom_small, discharge, recharge):
+    energy = EnergyModel(sample_discharge=discharge, recharge_per_step=recharge)
     rng = np.random.default_rng(123)
     for _ in range(30):
         strip, soc0, rewards = random_instance(rng, geom_small)
-        table = build_dp_table(strip, geom_small, ENERGY, rewards)
-        value, actions = brute_force_optimal(strip, geom_small, ENERGY, rewards, soc0=soc0)
+        table = build_dp_table(strip, geom_small, energy, rewards)
+        value, actions = brute_force_optimal(strip, geom_small, energy, rewards, soc0=soc0)
         assert table.root_value(soc0) == value
         assert len(actions) == strip.length
 
 
-def test_expert_replay_achieves_the_table_value(geom_small):
+@pytest.mark.parametrize("discharge, recharge", ENERGY_MODELS)
+def test_expert_replay_achieves_the_table_value(geom_small, discharge, recharge):
+    energy = EnergyModel(sample_discharge=discharge, recharge_per_step=recharge)
     rng = np.random.default_rng(5)
     for _ in range(5):
         strip = EnvStrip(rng.integers(0, 3, size=(5, 60), dtype=np.uint8))
         soc0 = int(rng.integers(0, 101))
-        table = build_dp_table(strip, geom_small, ENERGY, REWARDS)
-        log = run_episode(strip, geom_small, ENERGY, REWARDS,
+        table = build_dp_table(strip, geom_small, energy, REWARDS)
+        log = run_episode(strip, geom_small, energy, REWARDS,
                           dp_policy(table, strip), soc0=soc0)
         assert log.total_reward == table.root_value(soc0)
         assert log.violations == 0

@@ -19,6 +19,7 @@ from dyntarget import (
     SatState,
     SensorGeometry,
     best_target,
+    measure_latency,
     observe,
     run_episode,
     soc_transition,
@@ -383,6 +384,18 @@ def test_violations_are_counted_and_coerced():
     assert log.total_reward == 39 * 100.0
     assert all(rec.soc >= 5 for rec in log.steps if rec.action == Action.SAMPLE)
 
+    # the latency walk coerces the same way and restarts from full charge
+    # each time it wraps past the strip's end
+    seen = []
+
+    class Recording(SampleAlways):
+        def decide(self, obs):
+            seen.append(obs.soc)
+            return super().decide(obs)
+
+    measure_latency(Recording(), strip, 250, SensorGeometry(), ENERGY)
+    assert seen == ([rec.soc for rec in log.steps] * 3)[:250]
+
 
 def test_reward_accounting_folds():
     strip = EnvStrip(
@@ -413,6 +426,9 @@ def test_policy_exception_names_the_step():
     strip = uniform(5, 10, RewardClass.LOW)
     with pytest.raises(EpisodeError) as err:
         run_episode(strip, SensorGeometry.from_pixels(2, 5), ENERGY, REWARDS, Broken())
+    assert err.value.step == 3
+    with pytest.raises(EpisodeError) as err:
+        measure_latency(Broken(), strip, 20, SensorGeometry.from_pixels(2, 5), ENERGY)
     assert err.value.step == 3
 
 
