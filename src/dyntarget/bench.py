@@ -91,6 +91,12 @@ class DatasetSpec:
             if overlap:
                 raise ConfigError(f"train/test paths overlap: {sorted(overlap)}")
         if not self.train_paths and not self.test_paths:
+            # every command that scores or times a policy reads test00
+            if self.test_count < 1 or self.train_count < 0:
+                raise ConfigError(
+                    "need datasets.test_count >= 1 and datasets.train_count >= 0, got "
+                    f"{self.test_count} and {self.train_count}"
+                )
             train = set(range(self.train_seed0, self.train_seed0 + self.train_count))
             test = set(range(self.test_seed0, self.test_seed0 + self.test_count))
             if train & test:
@@ -268,11 +274,6 @@ def build_config(entries: Dict[str, str]) -> BenchConfig:
 # data and model preparation
 # ---------------------------------------------------------------------------
 
-def resolve_strips(config: BenchConfig) -> Tuple[List[EnvStrip], List[EnvStrip]]:
-    """(train, test) strips: loaded from the configured paths, else generated."""
-    return list(config.datasets.strips("train")), list(config.datasets.strips("test"))
-
-
 def _cache_dir(outdir) -> Optional[Path]:
     return Path(outdir) / "dp_cache" if outdir is not None else None
 
@@ -427,10 +428,6 @@ class BenchReport:
     def mean_pct(self, policy: str) -> float:
         rows = self.rows_for(policy)
         return sum(r.pct_of_dp for r in rows) / len(rows)
-
-    def mean_frac_off(self, policy: str) -> float:
-        rows = self.rows_for(policy)
-        return sum(r.frac_off for r in rows) / len(rows)
 
     def with_means(self) -> List[ReportRow]:
         """Detail rows followed by one synthetic mean row per policy."""

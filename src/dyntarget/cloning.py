@@ -57,22 +57,22 @@ _EPS = 1e-12
 # features
 # ---------------------------------------------------------------------------
 
-def _features_at(index: StripIndex, t0s: np.ndarray, socs: np.ndarray) -> np.ndarray:
-    """Feature rows for 0-based columns ``t0s`` at charges ``socs``."""
+def _features_at(index: StripIndex, t0s, socs, out: np.ndarray) -> np.ndarray:
+    """Feature rows for 0-based columns ``t0s`` at charges ``socs``, into
+    ``out``: arrays fill an (N, 13) block, scalars one (13,) row by basic
+    indexing."""
     near, earliest = index.bc_extras()
-    out = np.empty((len(t0s), N_FEATURES))
-    out[:, 0] = socs / SOC_MAX
-    out[:, 1:4] = index.radar_fraction[:, t0s].T
-    out[:, 4:7] = index.look_fraction[:, t0s].T
-    out[:, 7:10] = near[:, t0s].T
-    out[:, 10:13] = earliest[:, t0s].T
+    out[..., 0] = socs / SOC_MAX
+    out[..., 1:4] = index.radar_fraction[:, t0s].T
+    out[..., 4:7] = index.look_fraction[:, t0s].T
+    out[..., 7:10] = near[:, t0s].T
+    out[..., 10:13] = earliest[:, t0s].T
     return out
 
 
 def featurize_bc(obs: Observation) -> np.ndarray:
     """13-value summary of one observation; see the module docstring."""
-    row = _features_at(obs.index, np.array([obs.t - 1]), np.array([obs.soc]))
-    return row[0]
+    return _features_at(obs.index, obs.t - 1, obs.soc, np.empty(N_FEATURES))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ def collect_demonstrations(
     else:
         mask = rng.random((strip.length, N_SOC)) <= keep_prob
     t0s, socs = np.nonzero(mask)
-    feats = _features_at(index, t0s, socs)
+    feats = _features_at(index, t0s, socs, np.empty((len(t0s), N_FEATURES)))
     vals = dp_table.values[t0s, socs]  # (N, 2)
     actions = (vals[:, 1] > vals[:, 0]).astype(np.uint8)
     return DemoSet(
@@ -237,13 +237,39 @@ def init_mlp(seed: int = 0, layer_sizes: Sequence[int] = LAYER_SIZES) -> MLPMode
     return MLPModel(weights=weights, biases=biases)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid(
+    z: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    den: Optional[np.ndarray] = None,
+    nonneg: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Logistic of ``z``, into ``out`` when given; ``den`` (float) and
+    ``nonneg`` (bool) are optional scratch shaped like ``z``.
+
+    With t = exp(-|z|) this is 1/(1+t) where z >= 0 and t/(1+t)
+    elsewhere, so ``exp`` never overflows.
+    """
+    t = np.abs(z, out=out)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    den = np.add(t, 1.0, out=den)
+    np.divide(t, den, out=t)
+    np.divide(1.0, den, out=den)
+    np.copyto(t, den, where=np.greater_equal(z, 0.0, out=nonneg))
+    return t
+
+
+def _forward(model: MLPModel, x: np.ndarray, acts: Sequence[Optional[np.ndarray]]) -> np.ndarray:
+    """The (N, 1) logits of rows ``x``; layer i's output is written to
+    ``acts[i]``, or to a fresh array where that is None."""
+    last = len(model.weights) - 1
+    z = x
+    for i, (w, b, out) in enumerate(zip(model.weights, model.biases, acts)):
+        z = np.matmul(z, w, out=out)
+        z += b
+        if i < last:
+            np.maximum(z, 0.0, out=z)
+    return z
 
 
 def mlp_forward(model: MLPModel, x: np.ndarray) -> np.ndarray:
@@ -255,55 +281,110 @@ def mlp_forward(model: MLPModel, x: np.ndarray) -> np.ndarray:
         raise ParameterError(
             f"expected {model.weights[0].shape[0]} features, got {z.shape[1]}"
         )
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = z @ w + b
-        if i < last:
-            np.maximum(z, 0.0, out=z)
-    p = _sigmoid(z[:, 0])
-    return float(p[0]) if single else p
+    logits = _forward(model, z, [None] * len(model.weights))[:, 0]
+    if not single:
+        return _sigmoid(logits)
+    # _sigmoid's formula on one numpy scalar: np.exp runs the same kernel
+    # as on an array, and scalar arithmetic rounds as the array ufuncs do
+    t = np.exp(-abs(logits[0]))
+    return float(1.0 / (1.0 + t) if logits[0] >= 0 else t / (1.0 + t))
 
 
-def _loss(p: np.ndarray, y: np.ndarray, loss: str) -> float:
-    """Mean loss of sample probabilities ``p`` against labels ``y``."""
+def _loss(p: np.ndarray, y: np.ndarray, loss: str, scratch: Optional[np.ndarray] = None) -> float:
+    """Mean loss of sample probabilities ``p`` against labels ``y``;
+    ``scratch`` is an optional (3, N) work array.
+
+    The per-element operations and their order are those of
+    -mean(y*log(clip(p)) + (1-y)*log(1-clip(p))) and mean((p-y)**2).
+    """
+    a, b, c = np.empty((3, len(p))) if scratch is None else scratch
     if loss == "bce":
-        clipped = np.clip(p, _EPS, 1.0 - _EPS)
-        return float(-np.mean(y * np.log(clipped) + (1.0 - y) * np.log(1.0 - clipped)))
-    return float(np.mean((p - y) ** 2))
+        np.maximum(p, _EPS, out=a)
+        np.minimum(a, 1.0 - _EPS, out=a)
+        np.log(a, out=b)
+        b *= y
+        np.subtract(1.0, a, out=a)
+        np.log(a, out=a)
+        a *= np.subtract(1.0, y, out=c)
+        b += a
+        return float(-(np.add.reduce(b) / len(p)))
+    np.subtract(p, y, out=a)
+    np.square(a, out=a)
+    return float(np.add.reduce(a) / len(p))
+
+
+@dataclass
+class _Workspace:
+    """Every array one forward and backward pass needs, for up to
+    ``rows`` rows; ``head(n)`` cuts each to its first n rows."""
+
+    x: np.ndarray              # (rows, fan_in) batch input
+    y: np.ndarray              # (rows,) labels
+    p: np.ndarray              # (rows,) sample probabilities
+    nonneg: np.ndarray         # (rows,) bool, the sigmoid's branch
+    scratch: np.ndarray        # (3, rows) work vectors
+    acts: List[np.ndarray]     # each layer's output
+    deltas: List[np.ndarray]   # loss gradient at each layer's output
+    masks: List[np.ndarray]    # bool, where each hidden layer's output is > 0
+
+    @classmethod
+    def allocate(cls, layer_sizes: Sequence[int], rows: int) -> "_Workspace":
+        outs = layer_sizes[1:]
+        return cls(
+            x=np.empty((rows, layer_sizes[0])),
+            y=np.empty(rows),
+            p=np.empty(rows),
+            nonneg=np.empty(rows, dtype=bool),
+            scratch=np.empty((3, rows)),
+            acts=[np.empty((rows, k)) for k in outs],
+            deltas=[np.empty((rows, k)) for k in outs],
+            masks=[np.empty((rows, k), dtype=bool) for k in outs[:-1]],
+        )
+
+    def head(self, n: int) -> "_Workspace":
+        def cut(arrays):
+            return [a[:n] for a in arrays]
+
+        return _Workspace(self.x[:n], self.y[:n], self.p[:n], self.nonneg[:n],
+                          self.scratch[:, :n], cut(self.acts), cut(self.deltas), cut(self.masks))
 
 
 def _backprop(
     model: MLPModel,
-    x: np.ndarray,
-    y: np.ndarray,
+    ws: _Workspace,
     loss: str,
     grads_w: List[np.ndarray],
     grads_b: List[np.ndarray],
 ) -> float:
-    """Mean batch loss; writes its gradients into ``grads_w``/``grads_b``."""
-    n = len(x)
+    """Mean loss of the batch in ``ws.x``/``ws.y``; writes its gradients
+    into ``grads_w``/``grads_b`` and every intermediate into ``ws``.
+
+    The per-element operations and their order are those of one fresh
+    array per step (z @ w + b, (p - y) / n, (delta @ w.T) * (act > 0)),
+    so the results match that form bit for bit.
+    """
+    n = len(ws.x)
     last = len(model.weights) - 1
+    logits = _forward(model, ws.x, ws.acts)[:, 0]
+    p = _sigmoid(logits, ws.p, ws.scratch[0], ws.nonneg)
+    value = _loss(p, ws.y, loss, ws.scratch)
 
-    acts = [x]
-    z = x
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = z @ w + b
-        if i < last:
-            z = np.maximum(z, 0.0)
-        acts.append(z)
-    p = _sigmoid(acts[-1][:, 0])
-
-    value = _loss(p, y, loss)
-    if loss == "bce":
-        delta = ((p - y) / n)[:, None]  # sigmoid folded into the BCE gradient
-    else:
-        delta = ((2.0 * (p - y) * p * (1.0 - p)) / n)[:, None]
+    delta = ws.deltas[last]
+    d = np.subtract(p, ws.y, out=delta[:, 0])
+    if loss == "mse":  # 2 (p - y) p (1 - p); for BCE the sigmoid folds away
+        d *= 2.0
+        d *= p
+        d *= np.subtract(1.0, p, out=ws.scratch[0])
+    d /= n
 
     for i in range(last, -1, -1):
-        np.matmul(acts[i].T, delta, out=grads_w[i])
-        np.sum(delta, axis=0, out=grads_b[i])
+        below = ws.acts[i - 1] if i > 0 else ws.x
+        np.matmul(below.T, delta, out=grads_w[i])
+        np.add.reduce(delta, axis=0, out=grads_b[i])
         if i > 0:
-            delta = (delta @ model.weights[i].T) * (acts[i] > 0)
+            np.matmul(delta, model.weights[i].T, out=ws.deltas[i - 1])
+            delta = ws.deltas[i - 1]
+            delta *= np.greater(below, 0.0, out=ws.masks[i - 1])
     return value
 
 
@@ -320,8 +401,11 @@ def mlp_grad(
         raise ParameterError("need a (N, features) batch with matching labels")
     if loss not in ("bce", "mse"):
         raise ParameterError(f"unknown loss {loss!r}")
+    ws = _Workspace.allocate(model.layer_sizes, len(x))
+    np.copyto(ws.x, x)
+    np.copyto(ws.y, y)
     grads_w, grads_b = _layer_views(np.empty(model.n_params), model.layer_sizes)
-    value = _backprop(model, x, y, loss, grads_w, grads_b)
+    value = _backprop(model, ws, loss, grads_w, grads_b)
     return value, grads_w, grads_b
 
 
@@ -423,16 +507,21 @@ def train_bc(
     best_val = np.inf
     best = theta.copy()
     stale = 0
-    n_train = len(x_train)
+    n_train, batch_size = len(x_train), params.batch_size
+    full = _Workspace.allocate(sizes, batch_size)
+    short = full.head(n_train % batch_size)  # the last batch, if it falls short
     for _ in range(params.max_epochs):
         perm = rng.permutation(n_train)
         epoch_loss = 0.0
         n_batches = 0
-        for start in range(0, n_train, params.batch_size):
-            batch = perm[start: start + params.batch_size]
-            value = _backprop(
-                model, x_train[batch], y_train[batch], params.loss, grads_w, grads_b
-            )
+        for start in range(0, n_train, batch_size):
+            batch = perm[start: start + batch_size]
+            ws = full if len(batch) == batch_size else short
+            # every index is in range, so "clip" changes none; unlike the
+            # default "raise" it writes straight into out, with no temporary
+            x_train.take(batch, axis=0, out=ws.x, mode="clip")
+            y_train.take(batch, out=ws.y, mode="clip")
+            value = _backprop(model, ws, params.loss, grads_w, grads_b)
             if not math.isfinite(value):
                 raise FloatingPointError("training loss went non-finite")
             epoch_loss += value

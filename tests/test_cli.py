@@ -165,6 +165,20 @@ def test_latency_prints_per_policy_stats(tmp_path, cfg, capsys):
         assert all(float(f) > 0 for f in line.split(",")[1:])
 
 
+@pytest.mark.parametrize("command", ["eval", "curve", "latency"])
+@pytest.mark.parametrize("counts", ["test_count = 0", "train_count = -1"])
+def test_scoring_commands_refuse_empty_or_negative_strip_counts(tmp_path, command,
+                                                                 counts, capsys):
+    config = tmp_path / "bench.cfg"
+    key = counts.split(" = ")[0]
+    text = "\n".join(line for line in TINY_CFG.splitlines() if key not in line)
+    config.write_text(text + f"\ndatasets.{counts}\n", encoding="utf-8")
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert f"datasets.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command, generated, planned", [
     (["train-q"], 1, 0),
     (["train-bc"], 1, 1),

@@ -9,6 +9,7 @@ from dyntarget import (
     DPTable,
     EnergyModel,
     EnvStrip,
+    GenParams,
     MLPModel,
     RewardClass,
     RewardModel,
@@ -20,6 +21,7 @@ from dyntarget import (
     collect_demonstrations,
     expert_agreement,
     featurize_bc,
+    generate_synthetic,
     init_mlp,
     load_model,
     merge_demos,
@@ -39,7 +41,7 @@ from dyntarget.cloning import (
     _sigmoid,
     dominant_radar_class,
 )
-from dyntarget.sim import SatState
+from dyntarget.sim import SOC_MAX, SatState
 from dyntarget.errors import ConsistencyError, FormatError, ParameterError
 
 ENERGY = EnergyModel()
@@ -597,6 +599,95 @@ def test_policy_stochastic_mode_is_seeded(geom_small):
 def test_policy_rejects_unknown_mode():
     with pytest.raises(ParameterError):
         bc_policy(init_mlp(), mode="argmax")
+
+
+# ---------------------------------------------------------------------------
+# inference oracles: the indexed and masked forms the direct paths replace
+# ---------------------------------------------------------------------------
+
+def reference_features(index, t0s, socs):
+    """Feature rows built with index arrays, one fancy read per block."""
+    near, earliest = index.bc_extras()
+    out = np.empty((len(t0s), N_FEATURES))
+    out[:, 0] = socs / SOC_MAX
+    out[:, 1:4] = index.radar_fraction[:, t0s].T
+    out[:, 4:7] = index.look_fraction[:, t0s].T
+    out[:, 7:10] = near[:, t0s].T
+    out[:, 10:13] = earliest[:, t0s].T
+    return out
+
+
+def masked_sigmoid(z):
+    """The logistic by boolean-mask scatter, one exp call per sign."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_forward(model, x):
+    """One fresh array per layer, then the masked sigmoid."""
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    z = x[None, :] if single else x
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = z @ w + b
+        if i < last:
+            np.maximum(z, 0.0, out=z)
+    p = masked_sigmoid(z[:, 0])
+    return float(p[0]) if single else p
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_features_match_the_indexed_reference():
+    strip = generate_synthetic(GenParams(length=300, seed=41))
+    geom = SensorGeometry()
+    index = observe(strip, geom, SatState(t=1, soc=0)).index
+    for soc in (0, 5, 37, 100):
+        for t in range(1, strip.length + 1):
+            row = featurize_bc(observe(strip, geom, SatState(t=t, soc=soc), index=index))
+            want = reference_features(index, np.array([t - 1]), np.array([soc]))[0]
+            assert np.array_equal(bits(row), bits(want)), (t, soc)
+    table = build_dp_table(strip, geom, ENERGY, REWARDS)
+    demos = collect_demonstrations(table, strip, keep_prob=1.0, geom=geom)
+    want = reference_features(index, demos.t - 1, demos.soc)
+    assert np.array_equal(bits(demos.features), bits(want))
+
+
+def test_sigmoid_matches_the_masked_reference():
+    edges = [0.0, 1e-300, 709.0, 745.0, 1e308, np.inf]
+    z = np.concatenate([
+        np.random.default_rng(42).standard_normal(1_000_000),
+        edges,
+        np.negative(edges),
+    ])
+    want = bits(masked_sigmoid(z))
+    assert np.array_equal(bits(_sigmoid(z)), want)
+    out, den, nonneg = np.empty_like(z), np.empty_like(z), np.empty(len(z), dtype=bool)
+    assert _sigmoid(z, out, den, nonneg) is out
+    assert np.array_equal(bits(out), want)
+
+
+def test_forward_matches_the_reference_on_a_trained_model():
+    demos = noisy_demos(14)
+    model = train_bc(demos, TrainParams(learning_rate=3e-3, max_epochs=20, patience=50))
+    x = np.vstack([demos.features, np.random.default_rng(15).random((200, N_FEATURES))])
+    batch = mlp_forward(model, x)
+    assert np.array_equal(bits(batch), bits(reference_forward(model, x)))
+    assert (batch > 0.5).any() and (batch < 0.5).any()  # both sigmoid branches
+    for row in x:
+        assert mlp_forward(model, row) == reference_forward(model, row)
+    for shift in (-800.0, -40.0, 40.0, 800.0):  # saturated and underflowing heads
+        head = biased_model(shift)
+        for row in x[:20]:
+            got, want = mlp_forward(head, row), reference_forward(head, row)
+            assert bits(got) == bits(want)
 
 
 # ---------------------------------------------------------------------------
