@@ -76,6 +76,56 @@ def test_two_foreground_classes_form_cores_with_shells():
     assert touching_low / len(high) < 0.1
 
 
+class StuckRng:
+    """Stand-in generator whose every draw is the low end of its range.
+
+    Each blob seed then lands on cell (0, 0) and each core on the same
+    row, so small boards reach the rejection sampler's full-scan
+    fallback and the core placer's walk to the next free column.
+    """
+
+    def __init__(self, seed):
+        pass
+
+    def integers(self, low, high=None):
+        return np.int64(0 if high is None else low)
+
+    def random(self):
+        return 0.5
+
+    def exponential(self, scale):
+        return scale
+
+
+# Recorded from the numpy-grid generator.  Seeds, dp_cache keys and every
+# report depend on these bytes, so a rewrite must reproduce them exactly.
+@pytest.mark.parametrize("kwargs, stuck, digest", [
+    (dict(height=31, length=400, seed=1), False,
+     "cfe74f80b2fabc289b1ee794e08854e1fae7bb74649260ac757dec79d1b7c48d"),
+    (dict(height=1, length=50, seed=0), False,
+     "7e4efa2bc276729e6eaf86f8ee52896349ecff3e7b3bb04d98a57bc4faea8fd5"),
+    (dict(height=9, length=300, prevalence=(0.7, 0.0, 0.3), seed=2), False,
+     "ae5086775dc1a3b15f6fe908c0e4572498bfdfda7a8059162ee9363494137b05"),
+    (dict(height=5, length=64, prevalence=(0.0, 0.0, 1.0), seed=3), False,
+     "67d5a580f7f03cdc32f1e9fa926c8c5560c7737690d7b4664aac244e8f233932"),
+    (dict(height=31, length=400, prevalence=(0.34, 0.33, 0.33), seed=0), False,
+     "3443ed9c337019818c076f558637b5c34ddfa03670c38965b0fd80e3aea600b1"),
+    (dict(height=5, length=7, prevalence=(0.34, 0.33, 0.33), seed=4), False,
+     "714ea709fbef32f734d635b7a420b48c1f05c226d78eebb65236bfdf4d39f9e8"),
+    (dict(height=1, length=12, prevalence=(0.6, 0.4, 0.0),
+          blob_radius=(0.5, 0.5, 0.5)), True,
+     "5726c582e5cf311b7fd873cc86d0f80ca32037e9be689b164fd1fd4556fecb97"),
+    (dict(height=3, length=9, prevalence=(0.34, 0.33, 0.33),
+          blob_radius=(0.5, 0.5, 0.5)), True,
+     "8c848d2dacdaf88d546cb15d743295e441349526392785a77e05a76acd29a863"),
+], ids=["cores-shells", "height-1", "lone-class", "degenerate", "core-walk",
+        "tiny-board", "stuck-blob-fallback", "stuck-core-walk"])
+def test_generated_strips_are_pinned(monkeypatch, kwargs, stuck, digest):
+    if stuck:
+        monkeypatch.setattr(np.random, "default_rng", StuckRng)
+    assert generate_synthetic(GenParams(**kwargs)).digest() == digest
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
