@@ -34,13 +34,14 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, ResourceError
 
 MAGIC = b"DTG1"
 HEADER = struct.Struct("<4sIIf")
 
-# Refuse files whose header claims an absurd cell count before touching
-# the payload.  2^31 cells is ~2 GiB, far past anything we simulate.
+# Refuse a strip with an absurd cell count before allocating it: a file
+# header's claim before the payload is touched, a generator request before
+# the board is.  2^31 cells is ~2 GiB, far past anything we simulate.
 MAX_CELLS = 1 << 31
 
 
@@ -187,10 +188,14 @@ class GenParams:
 # generation
 # ---------------------------------------------------------------------------
 
-_NEIGH = ((-1, 0), (1, 0), (0, -1), (0, 1))
+# Growth runs on one flat bytearray of (h + 2) x (w + 2) cells: the strip
+# inside a one-cell wall of _WALL, a byte that is no class.  Cell (r, c)
+# sits at (r + 1) * stride + c + 1 with stride = w + 2, so a neighbour is
+# free exactly when it holds the background byte, with no bounds check.
+_WALL = 255
 
 
-def _grow_region(grid, cls, budget, background, rng, frontier, placed=0) -> int:
+def _grow_region(board, stride, cls, budget, background, rng, frontier, placed=0) -> int:
     """Claim up to ``budget`` background cells reachable from ``frontier``.
 
     Frontier cells themselves are never claimed, only their background
@@ -198,66 +203,71 @@ def _grow_region(grid, cls, budget, background, rng, frontier, placed=0) -> int:
     from every boundary cell of an existing region.  Growth order is
     randomized for organic edges.  Returns the claimed-cell count.
     """
-    h, w = grid.shape
+    steps = (-stride, stride, -1, 1)  # up, down, left, right
+    draw = rng.integers
+    pop = frontier.pop
+    push = frontier.append
     while placed < budget and frontier:
-        i = int(rng.integers(len(frontier)))
-        frontier[i], frontier[-1] = frontier[-1], frontier[i]
-        r, c = frontier.pop()
-        for dr, dc in _NEIGH:
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < h and 0 <= nc < w and grid[nr, nc] == background:
-                grid[nr, nc] = cls
+        # take the drawn cell; the last one moves into its slot
+        i = int(draw(len(frontier)))
+        p = frontier[i]
+        frontier[i] = frontier[-1]
+        pop()
+        for d in steps:
+            q = p + d
+            if board[q] == background:
+                board[q] = cls
                 placed += 1
-                frontier.append((nr, nc))
+                push(q)
                 if placed == budget:
                     break
     return placed
 
 
-def _grow_blob(grid, cls, budget, background, rng) -> int:
+def _grow_blob(board, h, w, cls, budget, background, rng) -> int:
     """Claim up to ``budget`` background cells as one connected region.
 
     Returns the number of cells actually claimed (0 if no background cell
     is left to seed from).
     """
-    h, w = grid.shape
+    stride = w + 2
     # rejection-sample a seed; fall back to a full scan when the board is
     # nearly full so termination never depends on luck
     for _ in range(64):
         r = int(rng.integers(h))
         c = int(rng.integers(w))
-        if grid[r, c] == background:
-            seed = (r, c)
+        seed = (r + 1) * stride + c + 1
+        if board[seed] == background:
             break
     else:
-        free = np.argwhere(grid == background)
+        free = np.flatnonzero(np.frombuffer(board, dtype=np.uint8) == background)
         if len(free) == 0:
             return 0
-        seed = tuple(free[int(rng.integers(len(free)))])
+        seed = int(free[int(rng.integers(len(free)))])
 
-    grid[seed] = cls
-    return _grow_region(grid, cls, budget, background, rng, [seed], placed=1)
+    board[seed] = cls
+    return _grow_region(board, stride, cls, budget, background, rng, [seed], placed=1)
 
 
-def _fill_scattered(grid, cls, need, mean_radius, background, rng) -> None:
+def _fill_scattered(board, h, w, cls, need, mean_radius, background, rng) -> None:
     """Place ``need`` cells of ``cls`` as standalone blobs of random size."""
     while need > 0:
         radius = max(1.0, rng.exponential(mean_radius))
         size = min(need, max(1, int(round(math.pi * radius * radius))))
-        placed = _grow_blob(grid, cls, size, background, rng)
+        placed = _grow_blob(board, h, w, cls, size, background, rng)
         if placed == 0:
             raise ParameterError("no background cells left while placing blobs")
         need -= placed
 
 
-def _place_cores(grid, cls, count, radius, background, rng) -> None:
+def _place_cores(board, h, w, cls, count, radius, background, rng) -> None:
     """Grow ``count`` cells of ``cls`` as evenly spaced compact cores.
 
     Core size is set by ``radius``; the along-track pitch follows from
     the cell budget.  Spacing jitter stays under a quarter pitch so cores
     never crowd together, which keeps the stretches between them quiet.
     """
-    h, w = grid.shape
+    stride = w + 2
     area = math.pi * radius * radius
     n = max(1, int(round(count / area)))
     pitch = w / n
@@ -271,13 +281,15 @@ def _place_cores(grid, cls, count, radius, background, rng) -> None:
         cx = int((i + 0.5) * pitch + (rng.random() - 0.5) * 0.5 * pitch)
         cx = min(max(cx, 0), w - 1)
         cy = int(rng.integers(margin, h - margin)) if margin < h - margin else h // 2
-        while grid[cy, cx] != background:
+        row = (cy + 1) * stride + 1
+        while board[row + cx] != background:
             cx = (cx + 1) % w
-        grid[cy, cx] = cls
-        placed = _grow_region(grid, cls, budget, background, rng, [(cy, cx)], placed=1)
+        board[row + cx] = cls
+        placed = _grow_region(board, stride, cls, budget, background, rng,
+                              [row + cx], placed=1)
         carry = budget - placed
     if carry > 0:
-        _fill_scattered(grid, cls, carry, radius, background, rng)
+        _fill_scattered(board, h, w, cls, carry, radius, background, rng)
 
 
 def generate_synthetic(params: GenParams) -> EnvStrip:
@@ -288,10 +300,13 @@ def generate_synthetic(params: GenParams) -> EnvStrip:
     grown outward from every core boundary at once, forming shells whose
     thickness comes out of its prevalence budget.  A lone foreground
     class is scattered as standalone blobs.  Deterministic in
-    ``params.seed``.
+    ``params.seed``.  Raises ResourceError, before allocating, for a
+    strip of more than MAX_CELLS cells.
     """
     h, w = params.height, params.length
     total = h * w
+    if total > MAX_CELLS:
+        raise ResourceError(f"a {h}x{w} strip has {total} cells, over the limit of {MAX_CELLS}")
     counts = [int(round(p * total)) for p in params.prevalence]
     # rounding drift goes to the background class
     background = int(np.argmax(counts))
@@ -300,26 +315,29 @@ def generate_synthetic(params: GenParams) -> EnvStrip:
         raise ParameterError("prevalence rounding produced a negative count")
 
     rng = np.random.default_rng(params.seed)
-    grid = np.full((h, w), background, dtype=np.uint8)
+    board = bytearray([_WALL]) * ((h + 2) * (w + 2))
+    grid = np.frombuffer(board, dtype=np.uint8).reshape(h + 2, w + 2)
+    grid[1:-1, 1:-1] = background
 
     others = [c for c in range(N_CLASSES) if c != background and counts[c] > 0]
     others.sort(key=lambda c: (counts[c], c))
     if len(others) == 2:
         core_cls, shell_cls = others
-        _place_cores(grid, core_cls, counts[core_cls],
+        _place_cores(board, h, w, core_cls, counts[core_cls],
                      params.blob_radius[core_cls], background, rng)
-        frontier = [tuple(rc) for rc in np.argwhere(grid == core_cls)]
-        placed = _grow_region(grid, shell_cls, counts[shell_cls],
-                              background, rng, frontier)
-        if placed < counts[shell_cls]:
-            _fill_scattered(grid, shell_cls, counts[shell_cls] - placed,
-                            params.blob_radius[shell_cls], background, rng)
+        # Every free cell reaches a core through free cells, and there are
+        # counts[shell_cls] + counts[background] of them, so the shells
+        # always meet their budget.
+        frontier = np.flatnonzero(grid == core_cls).tolist()
+        _grow_region(board, w + 2, shell_cls, counts[shell_cls],
+                     background, rng, frontier)
     elif len(others) == 1:
         cls = others[0]
-        _fill_scattered(grid, cls, counts[cls],
+        _fill_scattered(board, h, w, cls, counts[cls],
                         params.blob_radius[cls], background, rng)
 
-    return EnvStrip(grid, pixel_size_km=params.pixel_size_km)
+    # EnvStrip's ascontiguousarray makes the only copy of the interior
+    return EnvStrip(grid[1:-1, 1:-1], pixel_size_km=params.pixel_size_km)
 
 
 def class_fractions(strip: EnvStrip) -> Tuple[float, float, float]:

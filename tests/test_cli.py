@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from dyntarget import bench, load_dataset, load_dp_table, load_model, load_qtable
-from dyntarget.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from dyntarget.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RESOURCE, main
 from dyntarget.world import HEADER, MAGIC
 
 TINY_CFG = """
@@ -46,6 +46,17 @@ def test_gen_writes_datasets(tmp_path, cfg, capsys):
     manifest = (out / "train00.dtg.manifest").read_text()
     assert "scenario=cloud_avoidance" in manifest
     assert "seed=100" in manifest
+
+
+def test_gen_refuses_an_over_limit_strip(tmp_path, capsys):
+    config = tmp_path / "big.cfg"
+    config.write_text(TINY_CFG.replace("length = 400", "length = 100000000000"),
+                      encoding="utf-8")
+    out = tmp_path / "data"
+    code = main(["gen", "--config", str(config), "--out", str(out)])
+    assert code == EXIT_RESOURCE
+    assert "resource error" in capsys.readouterr().err
+    assert not list(out.glob("*.dtg"))
 
 
 def test_dp_plans_a_dataset(tmp_path, cfg, capsys):

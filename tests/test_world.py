@@ -12,7 +12,7 @@ from dyntarget import (
     load_dataset,
     save_dataset,
 )
-from dyntarget.errors import FormatError, ParameterError
+from dyntarget.errors import FormatError, ParameterError, ResourceError
 from dyntarget.world import HEADER, MAGIC
 
 
@@ -124,6 +124,12 @@ def test_generated_strips_are_pinned(monkeypatch, kwargs, stuck, digest):
     if stuck:
         monkeypatch.setattr(np.random, "default_rng", StuckRng)
     assert generate_synthetic(GenParams(**kwargs)).digest() == digest
+
+
+def test_over_limit_strip_is_refused_before_allocating():
+    # 31 x 10^11 cells: refused by the cell cap, never handed to an allocator
+    with pytest.raises(ResourceError):
+        generate_synthetic(GenParams(height=31, length=10**11))
 
 
 @pytest.mark.parametrize(
