@@ -30,7 +30,15 @@ from .cloning import (
     take_demos,
     train_bc,
 )
-from .dp import DPTable, build_dp_table, dp_policy, load_dp_table, save_dp_table
+from .dp import (
+    DP_MAGIC,
+    DPTable,
+    build_dp_table,
+    dp_policy,
+    load_dp_table,
+    models_digest,
+    save_dp_table,
+)
 from .errors import ConfigError, ParameterError
 from .heuristics import (
     Policy,
@@ -283,27 +291,25 @@ def _dp_for(
 ) -> DPTable:
     """Build the strip's value table, or reuse a cached one.
 
-    The cache file is named by a hash of the strip digest and of every
-    model the table depends on, so a changed reward or geometry misses.
-    The scenario only renames classes, so it is left out.
+    The cache file is named by a hash of the table format, the strip
+    digest and the models digest, so a changed reward or geometry misses
+    and a file of an older format is never opened.  A cached table whose
+    header names another strip or other models is rebuilt.
     """
-    if cache_dir is not None:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        r = config.rewards
-        rewards = (r.reward_low, r.reward_mid, r.reward_high)
-        models = repr((config.geometry, config.energy, rewards))
-        key = hashlib.sha256(f"{strip.digest()}|{models}".encode()).hexdigest()
-        path = cache_dir / f"{key[:32]}.dpt"
-        if path.exists():
-            table = load_dp_table(path)
-            if table.strip_digest == strip.digest():
-                return table
-        table = build_dp_table(
-            strip, config.geometry, config.energy, config.rewards
-        )
-        save_dp_table(table, path)
-        return table
-    return build_dp_table(strip, config.geometry, config.energy, config.rewards)
+    if cache_dir is None:
+        return build_dp_table(strip, config.geometry, config.energy, config.rewards)
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    digest = strip.digest()
+    models = models_digest(config.geometry, config.energy, config.rewards)
+    key = hashlib.sha256(DP_MAGIC + bytes.fromhex(digest) + bytes.fromhex(models)).hexdigest()
+    path = cache_dir / f"{key[:32]}.dpt"
+    if path.exists():
+        table = load_dp_table(path)
+        if (table.strip_digest, table.models_digest) == (digest, models):
+            return table
+    table = build_dp_table(strip, config.geometry, config.energy, config.rewards)
+    save_dp_table(table, path)
+    return table
 
 
 @dataclass

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConsistencyError, FormatError, ParameterError
+from .errors import FormatError, ParameterError
 from .dp import DPTable
 from .sim import (
     Action,
@@ -114,13 +114,7 @@ def collect_demonstrations(
     """
     if not (0.0 <= keep_prob <= 1.0):
         raise ParameterError(f"keep_prob out of [0, 1]: {keep_prob}")
-    digest = strip.digest()
-    if dp_table.strip_digest != digest:
-        raise ConsistencyError("planner table was built for a different strip")
-    if dp_table.horizon != strip.length:
-        raise ConsistencyError(
-            f"table horizon {dp_table.horizon} != strip length {strip.length}"
-        )
+    dp_table.check_strip(strip)
     index = strip_index(strip, geom)
     rng = np.random.default_rng(seed)
     if keep_prob >= 1.0:
@@ -129,15 +123,14 @@ def collect_demonstrations(
         mask = rng.random((strip.length, N_SOC)) <= keep_prob
     t0s, socs = np.nonzero(mask)
     feats = _features_at(index, t0s, socs, np.empty((len(t0s), N_FEATURES)))
-    vals = dp_table.values[t0s, socs]  # (N, 2)
-    actions = (vals[:, 1] > vals[:, 0]).astype(np.uint8)
+    actions = dp_table.samples(t0s, socs).astype(np.uint8)
     return DemoSet(
         features=feats,
         actions=actions,
         t=(t0s + 1).astype(np.int32),
         soc=socs.astype(np.int32),
         source=np.zeros(len(actions), dtype=np.int32),
-        source_digests=[digest],
+        source_digests=[dp_table.strip_digest],
     )
 
 

@@ -1,10 +1,10 @@
 """Exact backward-induction planner and its brute-force verifier.
 
 With binary actions and integer charge the whole problem fits in a
-(timestep, charge, action) value table.  ``build_dp_table`` fills it
-backward from the horizon; the greedy readout of that table is the
-optimal policy and its root value upper-bounds every other policy on
-the same strip.
+(timestep, charge) value table.  ``build_dp_table`` fills it backward
+from the horizon; reading an action off that table is the optimal
+policy, and its root value upper-bounds every other policy on the same
+strip.
 
 ``brute_force_optimal`` exists to distrust the table: it enumerates
 every feasible action sequence outright, so it is capped at tiny
@@ -12,63 +12,68 @@ horizons and shares no recurrence with the table builder.
 """
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    FormatError,
-    ParameterError,
-    ResourceError,
-)
-from .sim import (
-    Action,
-    EnergyModel,
-    N_SOC,
-    Observation,
-    Placement,
-    Policy,
-    SensorGeometry,
-    SOC_MAX,
-    StripIndex,
-    charge_rule,
-    strip_index,
-)
+from .errors import ConsistencyError, FormatError, ParameterError, ResourceError
+from .sim import (Action, EnergyModel, N_SOC, Observation, Placement, Policy, SensorGeometry,
+                  SOC_MAX, StripIndex, charge_rule, strip_index)
 from .world import EnvStrip, RewardModel, check_size, read_checked
 
 # Enumerating 2^T sequences past this horizon is pointless and slow.
 BRUTE_FORCE_MAX_T = 20
 
-DP_MAGIC = b"DTD1"
-# magic, horizon, charge levels, actions, strip digest
-DP_HEADER = struct.Struct("<4sIII32s")
+DP_MAGIC = b"DTD2"
+# magic, horizon, charge levels, discharge, recharge, strip digest, models digest
+DP_HEADER = struct.Struct("<4sIIII32s32s")
 
 DEFAULT_MEMORY_CAP = 512 * 1024 * 1024
 
-NEG_INF = np.float32(-np.inf)
+
+def models_digest(geom: SensorGeometry, energy: EnergyModel, rewards: RewardModel) -> str:
+    """Hash of every model a value table depends on besides the strip; the
+    scenario only renames classes, so it is left out."""
+    r = (rewards.reward_low, rewards.reward_mid, rewards.reward_high)
+    return hashlib.sha256(repr((geom, energy, r)).encode()).hexdigest()
 
 
 @dataclass
 class DPTable:
-    """values[t-1, soc, action] = best total reward from timestep t onward
-    when taking ``action`` at charge ``soc``.  Infeasible samples hold
-    -inf.  Valid only for the strip named by ``strip_digest``."""
+    """values[t, soc] = best total reward from timestep t + 1 onward at
+    charge ``soc``, float64, shape (horizon + 1, 101); the last row is 0.
+    Valid only for the strip named by ``strip_digest`` under ``energy``
+    and the models named by ``models_digest``."""
 
     values: np.ndarray
     strip_digest: str
+    energy: EnergyModel
+    models_digest: str
 
     @property
     def horizon(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[0] - 1
 
     def root_value(self, soc0: int) -> float:
         """Optimal episode reward from initial charge ``soc0``."""
         if not (0 <= soc0 <= SOC_MAX):
             raise ParameterError(f"soc out of [0, {SOC_MAX}]: {soc0}")
-        return float(self.values[0, soc0].max())
+        return float(self.values[0, soc0])
+
+    def check_strip(self, strip: EnvStrip) -> None:
+        """Raise ConsistencyError unless the table was built for ``strip``."""
+        if self.strip_digest != strip.digest() or self.horizon != strip.length:
+            raise ConsistencyError("value table was built for a different strip")
+
+    def samples(self, t0s, socs):
+        """Whether Sample is optimal at 0-based columns ``t0s`` and charges
+        ``socs`` (scalars or arrays): a value exceeds its Off successor's
+        only when sampling is strictly better, so exact ties go to Off."""
+        off_next = charge_rule(self.energy)[Action.OFF]
+        return self.values[t0s, socs] > self.values[t0s + 1, off_next[socs]]
 
 
 def build_dp_table(
@@ -79,33 +84,27 @@ def build_dp_table(
     memory_cap_bytes: int = DEFAULT_MEMORY_CAP,
     index: Optional[StripIndex] = None,
 ) -> DPTable:
-    """Backward induction over (timestep, charge, action).
-
-    The estimated table size is checked against ``memory_cap_bytes``
-    before anything is allocated.
-    """
+    """Backward induction over (timestep, charge): each value adds one
+    sampled reward to its successor's, so it sums its path last step
+    first.  The size is checked against ``memory_cap_bytes`` up front."""
     horizon = strip.length
-    estimate = horizon * N_SOC * 2 * 4
+    estimate = (horizon + 1) * N_SOC * 8
     if estimate > memory_cap_bytes:
-        raise ResourceError(
-            f"value table needs {estimate} bytes, cap is {memory_cap_bytes}"
-        )
+        raise ResourceError(f"value table needs {estimate} bytes, cap is {memory_cap_bytes}")
     if index is None:
         index = strip_index(strip, geom)
 
-    r_sample = rewards.values()[index.radar_best]  # (T,) float32
-    soc_off, soc_smp = charge_rule(energy)
-    # an unaffordable sample's -1 reads the last row, which np.where drops
-    feasible = soc_smp >= 0
+    r_sample = rewards.values()[index.radar_best]
+    off_next, smp_next = charge_rule(energy)
+    d = energy.sample_discharge  # the lowest charge that affords a sample
+    smp_next = smp_next[d:]
 
-    values = np.empty((horizon, N_SOC, 2), dtype=np.float32)
-    values[horizon - 1, :, 0] = 0.0
-    values[horizon - 1, :, 1] = np.where(feasible, r_sample[horizon - 1], NEG_INF)
-    for t0 in range(horizon - 2, -1, -1):
-        follow = np.maximum(values[t0 + 1, :, 0], values[t0 + 1, :, 1])
-        values[t0, :, 0] = follow[soc_off]
-        values[t0, :, 1] = np.where(feasible, r_sample[t0] + follow[soc_smp], NEG_INF)
-    return DPTable(values=values, strip_digest=strip.digest())
+    values = np.zeros((horizon + 1, N_SOC))
+    for t0 in range(horizon - 1, -1, -1):
+        follow, row = values[t0 + 1], values[t0]
+        np.take(follow, off_next, out=row)
+        np.maximum(row[d:], r_sample[t0] + follow[smp_next], out=row[d:])
+    return DPTable(values, strip.digest(), energy, models_digest(geom, energy, rewards))
 
 
 def expert_action(table: DPTable, t: int, soc: int) -> Action:
@@ -114,8 +113,7 @@ def expert_action(table: DPTable, t: int, soc: int) -> Action:
         raise IndexError(f"timestep {t} outside 1..{table.horizon}")
     if not (0 <= soc <= SOC_MAX):
         raise ParameterError(f"soc out of [0, {SOC_MAX}]: {soc}")
-    off, smp = table.values[t - 1, soc]
-    return Action.SAMPLE if smp > off else Action.OFF
+    return Action.SAMPLE if table.samples(t - 1, soc) else Action.OFF
 
 
 class _DPPolicy(Policy):
@@ -131,12 +129,7 @@ class _DPPolicy(Policy):
 
 def dp_policy(table: DPTable, strip: EnvStrip) -> Policy:
     """Greedy readout of ``table``; refuses a table built for another strip."""
-    if table.strip_digest != strip.digest():
-        raise ConsistencyError("value table was built for a different strip")
-    if table.horizon != strip.length:
-        raise ConsistencyError(
-            f"table horizon {table.horizon} != strip length {strip.length}"
-        )
+    table.check_strip(strip)
     return _DPPolicy(table)
 
 
@@ -155,13 +148,11 @@ def brute_force_optimal(
     """
     horizon = strip.length
     if horizon > BRUTE_FORCE_MAX_T:
-        raise ParameterError(
-            f"brute force is capped at T = {BRUTE_FORCE_MAX_T}, got {horizon}"
-        )
+        raise ParameterError(f"brute force is capped at T = {BRUTE_FORCE_MAX_T}, got {horizon}")
     if not (0 <= soc0 <= SOC_MAX):
         raise ParameterError(f"soc out of [0, {SOC_MAX}]: {soc0}")
     index = strip_index(strip, geom)
-    r_sample = [float(v) for v in rewards.values()[index.radar_best]]
+    r_sample = rewards.values()[index.radar_best].tolist()
     d = energy.sample_discharge
     re = energy.recharge_per_step
 
@@ -195,18 +186,24 @@ def brute_force_optimal(
 # ---------------------------------------------------------------------------
 
 def save_dp_table(table: DPTable, path) -> None:
+    energy = table.energy
+    header = DP_HEADER.pack(DP_MAGIC, table.horizon, N_SOC, energy.sample_discharge,
+                            energy.recharge_per_step, bytes.fromhex(table.strip_digest),
+                            bytes.fromhex(table.models_digest))
     with open(path, "wb") as fh:
-        digest = bytes.fromhex(table.strip_digest)
-        fh.write(DP_HEADER.pack(DP_MAGIC, table.horizon, N_SOC, 2, digest))
-        fh.write(table.values.astype("<f4").tobytes())
+        fh.write(header)
+        fh.write(table.values.astype("<f8").tobytes())
 
 
 def load_dp_table(path) -> DPTable:
-    data, (horizon, n_soc, n_act, digest) = read_checked(path, DP_MAGIC, DP_HEADER)
-    if n_soc != N_SOC or n_act != 2 or horizon == 0:
-        raise FormatError(f"unsupported dimensions {horizon}x{n_soc}x{n_act}", offset=4)
-    count = horizon * n_soc * n_act
-    check_size(data, DP_HEADER.size + count * 4)
-    values = np.frombuffer(data, dtype="<f4", count=count, offset=DP_HEADER.size)
-    values = values.reshape((horizon, n_soc, n_act)).copy()
-    return DPTable(values=values, strip_digest=digest.hex())
+    data, (horizon, n_soc, d, re, strip, models) = read_checked(path, DP_MAGIC, DP_HEADER)
+    if n_soc != N_SOC or horizon == 0:
+        raise FormatError(f"unsupported dimensions {horizon}x{n_soc}", offset=4)
+    try:
+        energy = EnergyModel(d, re)
+    except ParameterError as exc:
+        raise FormatError(str(exc), offset=12) from exc
+    count = (horizon + 1) * N_SOC
+    check_size(data, DP_HEADER.size + count * 8)
+    values = np.frombuffer(data, dtype="<f8", count=count, offset=DP_HEADER.size)
+    return DPTable(values.reshape((horizon + 1, N_SOC)), strip.hex(), energy, models.hex())

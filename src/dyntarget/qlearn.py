@@ -206,7 +206,7 @@ def train_dp_sweep(
     prepared = []
     for strip in strips:
         idx = strip_index(strip, geom)
-        r_sample = rewards.values()[idx.radar_best].astype(np.float64)
+        r_sample = rewards.values()[idx.radar_best]
         prepared.append((idx.qflag, r_sample))
     for _ in range(params.sweeps):
         for flags, r_sample in prepared:
@@ -236,7 +236,7 @@ def train_epsilon_greedy(
     table = QTable()
     idx = strip_index(strip, geom)
     flags = idx.qflag.astype(np.int64)
-    r_sample = rewards.values()[idx.radar_best].astype(np.float64)
+    r_sample = rewards.values()[idx.radar_best]
     horizon = strip.length
     rule = charge_rule(energy).tolist()
     rng = np.random.default_rng(params.seed)

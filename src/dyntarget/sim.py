@@ -532,7 +532,12 @@ class StepRecord(NamedTuple):
 
 @dataclass
 class EpisodeLog:
-    """Full trace of one episode plus derived totals."""
+    """Full trace of one episode plus derived totals.
+
+    ``total_reward`` sums the sampled rewards last step first, the order
+    in which the planner's backward induction adds them, so replaying
+    the planner's actions totals exactly its table value.
+    """
 
     steps: List[StepRecord]
     soc0: int
@@ -594,7 +599,7 @@ def _rollout(
 
     steps: List[StepRecord] = []
     soc, t = soc0, 1
-    total = 0.0
+    sampled: List[float] = []
     counts = [0, 0, 0]
     violations = 0
     decide_ns: List[int] = []
@@ -613,7 +618,7 @@ def _rollout(
             cls = sampled_class(index, t, placement)
             reward = values[cls]
             counts[cls] += 1
-            total += reward
+            sampled.append(reward)
         else:
             cls = None
             reward = 0.0
@@ -621,6 +626,9 @@ def _rollout(
         soc, t = next_soc, t + 1
         if t > strip.length:
             soc, t = soc0, 1
+    total = 0.0
+    for reward in reversed(sampled):  # the planner's summation order
+        total = reward + total
 
     log = EpisodeLog(
         steps=steps,

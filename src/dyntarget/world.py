@@ -81,10 +81,8 @@ class RewardModel:
             )
 
     def values(self) -> np.ndarray:
-        """Rewards indexed by RewardClass, as float32."""
-        return np.array(
-            [self.reward_low, self.reward_mid, self.reward_high], dtype=np.float32
-        )
+        """Rewards indexed by RewardClass, as float64."""
+        return np.array([self.reward_low, self.reward_mid, self.reward_high])
 
     def value_of(self, cls: RewardClass) -> float:
         return float(self.values()[int(cls)])
@@ -281,12 +279,21 @@ def _place_cores(board, h, w, cls, count, radius, background, rng) -> None:
         cx = int((i + 0.5) * pitch + (rng.random() - 0.5) * 0.5 * pitch)
         cx = min(max(cx, 0), w - 1)
         cy = int(rng.integers(margin, h - margin)) if margin < h - margin else h // 2
+        # the first free cell from cx on along the drawn row, wrapping; if
+        # the row is full, the first free cell after it in row-major order
         row = (cy + 1) * stride + 1
-        while board[row + cx] != background:
-            cx = (cx + 1) % w
-        board[row + cx] = cls
+        seed = board.find(background, row + cx, row + w)
+        if seed < 0:
+            seed = board.find(background, row, row + cx)
+        if seed < 0:
+            seed = board.find(background, row + w)
+        if seed < 0:
+            seed = board.find(background)
+        if seed < 0:
+            raise ParameterError("no background cells left while placing cores")
+        board[seed] = cls
         placed = _grow_region(board, stride, cls, budget, background, rng,
-                              [row + cx], placed=1)
+                              [seed], placed=1)
         carry = budget - placed
     if carry > 0:
         _fill_scattered(board, h, w, cls, carry, radius, background, rng)

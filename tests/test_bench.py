@@ -1,6 +1,7 @@
 """Harness: config parsing, report plumbing, small end-to-end runs."""
 import dataclasses
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from dyntarget import (
     emit_report,
     greedy_nadir,
     load_config,
+    load_dp_table,
     measure_latency,
     run_benchmark,
     training_curve,
 )
 from dyntarget.bench import CONFIG_KEYS, CSV_HEADER, curve_to_csv
+from dyntarget.dp import models_digest
 from dyntarget.world import GenParams, generate_synthetic
 from dyntarget.errors import ConfigError, ParameterError
 
@@ -247,6 +250,35 @@ def test_benchmark_caches_planner_tables(tmp_path):
     # the scenario only renames classes, so it reuses the same tables
     run_benchmark(dataclasses.replace(config, scenario="storm_hunting"), outdir=tmp_path)
     assert sorted(p.name for p in (tmp_path / "dp_cache").iterdir()) == cached
+
+
+def test_fractional_rewards_score_dp_at_exactly_100():
+    config = BenchConfig(
+        rewards=RewardModel(reward_low=0.1, reward_mid=0.3, reward_high=1.7),
+        roster=("dp",),
+        datasets=dataclasses.replace(TINY, length=2000, train_count=0),
+    )
+    report = run_benchmark(config)
+    assert [row.pct_of_dp for row in report.rows] == [100.0, 100.0]
+
+
+def test_a_cached_table_for_other_rewards_is_rebuilt(tmp_path):
+    ds = dataclasses.replace(TINY, test_count=1)
+    config = BenchConfig(roster=("dp",), datasets=ds)
+    other = dataclasses.replace(config, rewards=RewardModel(reward_high=1000.0))
+    run_benchmark(config, outdir=tmp_path / "a")
+    run_benchmark(other, outdir=tmp_path / "b")
+    [built] = (tmp_path / "a" / "dp_cache").iterdir()
+    [expected] = (tmp_path / "b" / "dp_cache").iterdir()
+    # the default-reward table, under the name the other rewards look up
+    shutil.copyfile(built, expected)
+    report = run_benchmark(other, outdir=tmp_path / "b")
+    assert [row.pct_of_dp for row in report.rows] == [100.0]
+    assert [row.total_reward for row in report.rows] == [
+        row.total_reward for row in run_benchmark(other).rows
+    ]
+    table = load_dp_table(expected)
+    assert table.models_digest == models_digest(other.geometry, other.energy, other.rewards)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
 """Command-line entry points, driven through main() for exit codes."""
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -138,6 +141,26 @@ def test_eval_rerun_with_new_rewards_replans(tmp_path, cfg):
         assert all(pct == 100.0 for pct in dp_pcts)
     # one table per strip and reward model
     assert len(list((out / "dp_cache").glob("*.dpt"))) == 4
+
+
+def test_eval_never_opens_a_table_of_the_previous_format(tmp_path, cfg):
+    # a DTD1 table (float32 (Off, Sample) values, strip digest only) at
+    # the name the DTD1 cache gave this strip; its values, Sample always
+    # worth 1, are wrong for the strip
+    extra = "roster = dp\n"
+    config = bench.load_config(cfg(extra))
+    strip = next(config.datasets.strips("test"))
+    r = config.rewards
+    models = repr((config.geometry, config.energy, (r.reward_low, r.reward_mid, r.reward_high)))
+    name = hashlib.sha256(f"{strip.digest()}|{models}".encode()).hexdigest()[:32]
+    cache = tmp_path / "out" / "dp_cache"
+    cache.mkdir(parents=True)
+    header = struct.pack("<4sIII32s", b"DTD1", strip.length, 101, 2, bytes.fromhex(strip.digest()))
+    values = np.tile(np.array([0.0, 1.0], dtype="<f4"), strip.length * 101)
+    (cache / f"{name}.dpt").write_bytes(header + values.tobytes())
+    assert main(["eval", "--config", cfg(extra), "--out", str(tmp_path / "out")]) == EXIT_OK
+    rows = [line.split(",") for line in (tmp_path / "out" / "report.csv").read_text().splitlines()]
+    assert [float(row[3]) for row in rows if row[0] == "dp"] == [100.0] * 3
 
 
 def test_eval_seed_override_moves_the_random_policy(tmp_path, cfg):

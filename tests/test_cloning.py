@@ -1,4 +1,5 @@
 """Imitation learner: features, demo handling, network, training loop."""
+import dataclasses
 import struct
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 
 from dyntarget import (
     Action,
-    DPTable,
     EnergyModel,
     EnvStrip,
     GenParams,
@@ -19,6 +19,7 @@ from dyntarget import (
     bc_policy,
     build_dp_table,
     collect_demonstrations,
+    expert_action,
     expert_agreement,
     featurize_bc,
     generate_synthetic,
@@ -124,9 +125,10 @@ def test_collect_full_grid(geom_small):
     }
     assert demos.source_digests == [strip.digest()]
     assert np.all(demos.actions[demos.soc < ENERGY.sample_discharge] == 0)
-    # labels are the planner's argmax with ties to Off
-    vals = table.values[demos.t - 1, demos.soc]
-    assert np.array_equal(demos.actions, (vals[:, 1] > vals[:, 0]).astype(np.uint8))
+    # labels are the planner's own readout, ties to Off
+    for t, soc, action in zip(demos.t.tolist(), demos.soc.tolist(), demos.actions.tolist()):
+        assert action == expert_action(table, t, soc)
+    assert demos.actions.sum() > 0
 
 
 def test_collect_is_seeded_and_binomial(geom_small):
@@ -137,6 +139,8 @@ def test_collect_is_seeded_and_binomial(geom_small):
     b = collect_demonstrations(table, strip, keep_prob=0.2, seed=11, geom=geom_small)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.actions, b.actions)
+    for t, soc, action in zip(a.t.tolist(), a.soc.tolist(), a.actions.tolist()):
+        assert action == expert_action(table, t, soc)
     # N ~ Binomial(5050, 0.2): mean 1010, sd ~ 28.4
     assert abs(len(a) - 1010) < 5 * 28.5
     c = collect_demonstrations(table, strip, keep_prob=0.2, seed=12, geom=geom_small)
@@ -150,8 +154,7 @@ def test_collect_validation(geom_small):
         collect_demonstrations(table, strip, keep_prob=1.5, geom=geom_small)
     with pytest.raises(ConsistencyError):
         collect_demonstrations(table, uniform(5, 2, RewardClass.MID), geom=geom_small)
-    stretched = DPTable(values=np.zeros((4, 101, 2), dtype=np.float32),
-                        strip_digest=strip.digest())
+    stretched = dataclasses.replace(table, values=np.zeros((5, 101)))
     with pytest.raises(ConsistencyError):
         collect_demonstrations(stretched, strip, geom=geom_small)
 

@@ -1,4 +1,5 @@
 """Exact planner: backward table, expert policy, brute-force verifier."""
+import dataclasses
 import struct
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 
 from dyntarget import (
     Action,
-    DPTable,
     EnergyModel,
     EnvStrip,
+    GenParams,
     RewardClass,
     RewardModel,
     SensorGeometry,
@@ -16,6 +17,7 @@ from dyntarget import (
     build_dp_table,
     dp_policy,
     expert_action,
+    generate_synthetic,
     greedy_lateral,
     greedy_nadir,
     greedy_radar,
@@ -25,13 +27,14 @@ from dyntarget import (
     run_episode,
     save_dp_table,
 )
-from dyntarget.dp import DP_MAGIC
+from dyntarget.dp import DP_MAGIC, models_digest
 from dyntarget.errors import (
     ConsistencyError,
     FormatError,
     ParameterError,
     ResourceError,
 )
+from dyntarget.sim import charge_rule
 
 ENERGY = EnergyModel()
 REWARDS = RewardModel()
@@ -68,24 +71,32 @@ def random_instance(rng, geom):
 def test_single_step_boundary(geom_small):
     strip = uniform(5, 1, RewardClass.HIGH)
     table = build_dp_table(strip, geom_small, ENERGY, REWARDS)
-    assert table.values[0, 100, int(Action.SAMPLE)] == 100.0
-    assert table.values[0, 100, int(Action.OFF)] == 0.0
+    # past the horizon nothing is left to earn
+    assert np.all(table.values[1] == 0.0)
+    # sampling earns the High; Off earns nothing
     assert table.root_value(100) == 100.0
     assert expert_action(table, 1, 100) == Action.SAMPLE
+    # a charge that cannot pay for the sample is worth only Off's 0
+    assert table.root_value(ENERGY.sample_discharge - 1) == 0.0
 
 
-def test_infeasible_cells_hold_sentinel(geom_small):
+def test_below_the_floor_the_expert_says_off(geom_small):
     strip = uniform(5, 3, RewardClass.MID)
     table = build_dp_table(strip, geom_small, ENERGY, REWARDS)
-    assert np.all(np.isneginf(table.values[:, :5, int(Action.SAMPLE)]))
-    assert np.all(np.isfinite(table.values[:, :, int(Action.OFF)]))
+    soc_off = charge_rule(ENERGY)[Action.OFF]
+    for t in range(1, strip.length + 1):
+        for soc in range(ENERGY.sample_discharge):
+            assert expert_action(table, t, soc) == Action.OFF
+            assert table.values[t - 1, soc] == table.values[t, soc_off[soc]]
+    assert np.all(np.isfinite(table.values))
 
 
 def test_two_step_trap(geom_small):
     table = build_dp_table(trap_strip(), geom_small, ENERGY, REWARDS)
     # sampling the Low at t=1 drops the charge to 1 and forfeits the High
-    assert table.values[0, 5, int(Action.SAMPLE)] == 1.0
-    assert table.values[0, 5, int(Action.OFF)] == 100.0
+    soc_off, soc_smp = charge_rule(ENERGY)[:, 5]
+    assert 1.0 + table.values[1, soc_smp] == 1.0
+    assert table.values[1, soc_off] == 100.0
     assert table.root_value(5) == 100.0
     assert expert_action(table, 1, 5) == Action.OFF
     assert expert_action(table, 2, 6) == Action.SAMPLE
@@ -116,8 +127,7 @@ def test_value_is_monotone_in_charge(geom_small):
     rng = np.random.default_rng(8)
     strip = EnvStrip(rng.integers(0, 3, size=(5, 40), dtype=np.uint8))
     table = build_dp_table(strip, geom_small, ENERGY, REWARDS)
-    best = np.max(table.values, axis=2)  # feasible Off masks the sentinel
-    assert np.all(np.diff(best, axis=1) >= 0)
+    assert np.all(np.diff(table.values, axis=1) >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +165,29 @@ def test_expert_replay_achieves_the_table_value(geom_small, discharge, recharge)
         assert log.violations == 0
 
 
+REPLAY_REWARDS = [(0.1, 0.3, 1.7), (1 / 3, 2 / 3, 7 / 3), (-5.0, -2.0, -1.0)]
+
+
+@pytest.fixture(scope="module")
+def replay_strip():
+    return generate_synthetic(GenParams(length=2000, seed=900))
+
+
+@pytest.mark.parametrize("soc0", [0, 37, 100])
+@pytest.mark.parametrize("discharge, recharge", [(5, 1), (7, 2), (100, 99)])
+@pytest.mark.parametrize("tiers", REPLAY_REWARDS)
+def test_replay_totals_exactly_the_root_value(replay_strip, tiers, discharge, recharge, soc0):
+    # fractional rewards round differently when summed in another order,
+    # so this pins the episode total to the planner's summation order
+    geom = SensorGeometry()
+    energy = EnergyModel(sample_discharge=discharge, recharge_per_step=recharge)
+    rewards = RewardModel(*tiers)
+    table = build_dp_table(replay_strip, geom, energy, rewards)
+    log = run_episode(replay_strip, geom, energy, rewards,
+                      dp_policy(table, replay_strip), soc0=soc0)
+    assert log.total_reward == table.root_value(soc0)
+
+
 def test_no_policy_beats_the_planner(geom_small):
     rng = np.random.default_rng(77)
     policies = [
@@ -189,8 +222,7 @@ def test_policy_strip_must_match_table(geom_small):
     other = uniform(5, 2, RewardClass.LOW)
     with pytest.raises(ConsistencyError):
         dp_policy(table, other)
-    stretched = DPTable(values=np.zeros((3, 101, 2), dtype=np.float32),
-                        strip_digest=strip.digest())
+    stretched = dataclasses.replace(table, values=np.zeros((4, 101)))
     with pytest.raises(ConsistencyError):
         dp_policy(stretched, strip)
 
@@ -238,8 +270,11 @@ def test_table_round_trip(tmp_path, geom_small):
     path = tmp_path / "t.dpt"
     save_dp_table(table, path)
     back = load_dp_table(path)
+    assert back.values.dtype == np.float64
     assert np.array_equal(back.values, table.values)
     assert back.strip_digest == table.strip_digest
+    assert back.energy == ENERGY
+    assert back.models_digest == models_digest(geom_small, ENERGY, REWARDS)
     assert back.horizon == table.horizon
     # a reloaded table still drives the expert
     log = run_episode(strip, geom_small, ENERGY, REWARDS, dp_policy(back, strip), soc0=5)
@@ -263,15 +298,21 @@ def test_table_format_errors(tmp_path, geom_small):
         load_dp_table(bad)
     assert err.value.offset == 20
 
-    bad.write_bytes(DP_MAGIC + struct.pack("<III", 0, 101, 2) + good[16:])
+    bad.write_bytes(DP_MAGIC + struct.pack("<II", 0, 101) + good[12:])
     with pytest.raises(FormatError) as err:
         load_dp_table(bad)
     assert err.value.offset == 4
 
-    bad.write_bytes(good[:-4])
+    # a sample cheaper than the recharge is no energy model
+    bad.write_bytes(good[:12] + struct.pack("<II", 1, 2) + good[20:])
     with pytest.raises(FormatError) as err:
         load_dp_table(bad)
-    assert err.value.offset == len(good) - 4
+    assert err.value.offset == 12
+
+    bad.write_bytes(good[:-8])
+    with pytest.raises(FormatError) as err:
+        load_dp_table(bad)
+    assert err.value.offset == len(good) - 8
 
     bad.write_bytes(good + b"\x00")
     with pytest.raises(FormatError) as err:

@@ -42,3 +42,12 @@ def test_span_counters_find_their_arguments():
 
     assert list(inspect.signature(sim.run_episode).parameters)[4] == "policy"
     assert list(inspect.signature(bench._dp_for).parameters)[2] == "cache_dir"
+
+
+def test_the_table_counter_reads_an_array():
+    # the dp.build_dp_table counter reads .values.size and .values.nbytes
+    import numpy as np
+    from dyntarget import EnvStrip, build_dp_table
+
+    table = build_dp_table(EnvStrip(np.zeros((3, 4), dtype=np.uint8)))
+    assert isinstance(table.values, np.ndarray)

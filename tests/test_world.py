@@ -1,4 +1,7 @@
 """Strip generation and the dataset file format."""
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +16,7 @@ from dyntarget import (
     save_dataset,
 )
 from dyntarget.errors import FormatError, ParameterError, ResourceError
-from dyntarget.world import HEADER, MAGIC
+from dyntarget.world import HEADER, MAGIC, _place_cores
 
 
 def uniform(height, length, cls):
@@ -124,6 +127,38 @@ def test_generated_strips_are_pinned(monkeypatch, kwargs, stuck, digest):
     if stuck:
         monkeypatch.setattr(np.random, "default_rng", StuckRng)
     assert generate_synthetic(GenParams(**kwargs)).digest() == digest
+
+
+@contextlib.contextmanager
+def returns_within(seconds):
+    """Fail, rather than hang, if the body runs past ``seconds``."""
+    def hung(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_core_drawn_on_a_full_row_moves_to_the_next_free_cell():
+    # two earlier cores fill both cells of a row the third core then
+    # draws; the walk along that row alone would never end
+    params = GenParams(height=5, length=2,
+                       prevalence=(0.2851094285676319, 0.3691156364418775, 0.3457749349904906),
+                       blob_radius=(0.3, 1.0, 1.6), seed=86)
+    with returns_within(5):
+        strip = generate_synthetic(params)
+    assert np.bincount(strip.cells.ravel(), minlength=3).tolist() == [3, 4, 3]
+
+
+def test_cores_on_a_board_with_no_free_cell_are_refused():
+    board = bytearray([1]) * 16
+    with returns_within(5), pytest.raises(ParameterError):
+        _place_cores(board, 2, 2, 2, 1, 1.0, 0, np.random.default_rng(0))
 
 
 def test_over_limit_strip_is_refused_before_allocating():
