@@ -201,7 +201,9 @@ _KEY_ALIASES = {
     "rewards.mid": "rewards.reward_mid",
     "rewards.high": "rewards.reward_high",
 }
-_HIDDEN_FIELDS = ("rewards.reward_off", "rewards.scenario")
+# qlearn.epsilon and qlearn.seed only steer train_epsilon_greedy, which no
+# command runs
+_HIDDEN_FIELDS = ("rewards.reward_off", "rewards.scenario", "qlearn.epsilon", "qlearn.seed")
 
 
 def _field_types(cls) -> Dict[str, object]:
@@ -362,24 +364,25 @@ def _demo_pool(prep: PreparedBench) -> DemoSet:
     return merge_demos(parts)
 
 
+def _sweep(strips: Sequence[EnvStrip], config: BenchConfig) -> QTable:
+    """The sweep learner trained on ``strips`` under the configured models."""
+    return train_dp_sweep(
+        strips, config.qlearn, geom=config.geometry, energy=config.energy, rewards=config.rewards
+    )
+
+
 def train_learners(prep: PreparedBench, progress: bool = False):
     """Train whatever the roster needs; returns (qtable, bc model)."""
     config = prep.config
     qtable = None
     model = None
     if "qlearn" in config.roster:
-        qtable = train_dp_sweep(
-            prep.train_strips,
-            config.qlearn,
-            geom=config.geometry,
-            energy=config.energy,
-            rewards=config.rewards,
-        )
+        qtable = _sweep(prep.train_strips, config)
         if progress:
             print(f"swept q table over {len(prep.train_strips)} strips")
     if "bc" in config.roster:
         demos = balance_dataset(_demo_pool(prep), seed=config.bc.seed)
-        model = train_bc(demos, config.bc)
+        model = train_bc(demos, config.bc, energy=config.energy)
         if progress:
             print(f"cloned planner from {len(demos)} balanced demos")
     return qtable, model
@@ -421,49 +424,58 @@ class ReportRow:
     mean_decide_us: float
 
 
+def _mean(values: Sequence[float]) -> float:
+    """The per-strip mean every report and curve uses: the values summed in
+    strip order, then divided by their count."""
+    return sum(values) / len(values)
+
+
 @dataclass
 class BenchReport:
     scenario: str
     rows: List[ReportRow]
     roster: Tuple[str, ...]
-    dataset_labels: Tuple[str, ...]
 
     def rows_for(self, policy: str) -> List[ReportRow]:
         return [r for r in self.rows if r.policy == policy and r.dataset != "mean"]
 
     def mean_pct(self, policy: str) -> float:
-        rows = self.rows_for(policy)
-        return sum(r.pct_of_dp for r in rows) / len(rows)
+        return _mean([r.pct_of_dp for r in self.rows_for(policy)])
 
     def with_means(self) -> List[ReportRow]:
-        """Detail rows followed by one synthetic mean row per policy."""
+        """Detail rows followed by one synthetic mean row per policy: the
+        mean of every float column and the total of the violation count."""
         out = list(self.rows)
         for policy in self.roster:
             rows = self.rows_for(policy)
             if not rows:
                 continue
-            n = len(rows)
-            out.append(
-                ReportRow(
-                    policy=policy,
-                    dataset="mean",
-                    total_reward=sum(r.total_reward for r in rows) / n,
-                    pct_of_dp=sum(r.pct_of_dp for r in rows) / n,
-                    frac_off=sum(r.frac_off for r in rows) / n,
-                    frac_low=sum(r.frac_low for r in rows) / n,
-                    frac_mid=sum(r.frac_mid for r in rows) / n,
-                    frac_high=sum(r.frac_high for r in rows) / n,
-                    violations=sum(r.violations for r in rows),
-                    mean_decide_us=sum(r.mean_decide_us for r in rows) / n,
-                )
-            )
+            means = {}
+            for name, kind in _field_types(ReportRow).items():
+                column = [getattr(r, name) for r in rows]
+                if kind is float:
+                    means[name] = _mean(column)
+                elif kind is int:
+                    means[name] = sum(column)
+            out.append(ReportRow(policy=policy, dataset="mean", **means))
         return out
 
 
-CSV_HEADER = (
-    "policy,dataset,total_reward,pct_of_dp,frac_off,frac_low,frac_mid,frac_high,"
-    "violations,mean_decide_us"
-)
+def _write_csv(path, cls, rows) -> None:
+    """Write ``rows`` of dataclass ``cls`` as CSV: the field names, then one
+    line per row.  A float field prints as ``repr(float(v))``, which
+    round-trips exactly and keeps files byte-stable; any other with ``str``."""
+    kinds = _field_types(cls)
+    lines = [",".join(kinds)]
+    for row in rows:
+        lines.append(",".join(
+            repr(float(getattr(row, name))) if kind is float else str(getattr(row, name))
+            for name, kind in kinds.items()
+        ))
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+CSV_HEADER = ",".join(_field_types(ReportRow))
 
 
 def _pct_of_dp(total: float, dp_value: float) -> float:
@@ -515,42 +527,23 @@ def run_benchmark(config: BenchConfig, outdir=None, progress: bool = False) -> B
                 )
             )
         if progress:
-            mean = sum(r.pct_of_dp for r in rows[-len(labels):]) / max(len(labels), 1)
+            mean = _mean([r.pct_of_dp for r in rows[-len(labels):]])
             print(f"{name}: mean {mean:.2f}% of dp")
-    return BenchReport(
-        scenario=config.scenario, rows=rows, roster=config.roster, dataset_labels=labels
-    )
+    return BenchReport(scenario=config.scenario, rows=rows, roster=config.roster)
 
 
-def _fmt(value: float) -> str:
-    # repr round-trips exactly, keeping reports byte-stable
-    return repr(float(value))
-
-
-def emit_report(report: BenchReport, outdir, formats: Sequence[str] = ("csv", "md")) -> List[Path]:
-    """Write report files into ``outdir``; returns the paths written.
+def emit_report(report: BenchReport, outdir) -> List[Path]:
+    """Write ``report.csv`` and ``report.md`` into ``outdir``; returns
+    their paths.
 
     The CSV keeps measured latency in its final column so consumers can
     drop it when comparing runs byte for byte.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    rows = report.with_means()
-    if "csv" in formats:
-        lines = [CSV_HEADER + "\n"]
-        for r in rows:
-            lines.append(
-                f"{r.policy},{r.dataset},{_fmt(r.total_reward)},{_fmt(r.pct_of_dp)},"
-                f"{_fmt(r.frac_off)},{_fmt(r.frac_low)},{_fmt(r.frac_mid)},"
-                f"{_fmt(r.frac_high)},{r.violations},{_fmt(r.mean_decide_us)}\n"
-            )
-        path = outdir / "report.csv"
-        path.write_text("".join(lines), encoding="utf-8")
-        written.append(path)
-    if "md" in formats:
-        written.append(_emit_markdown(report, outdir))
-    return written
+    path = outdir / "report.csv"
+    _write_csv(path, ReportRow, report.with_means())
+    return [path, _emit_markdown(report, outdir)]
 
 
 def _emit_markdown(report: BenchReport, outdir: Path) -> Path:
@@ -622,14 +615,7 @@ def training_curve(
     for f in fractions:
         if "qlearn" in config.roster:
             prefixes = [_prefix_strip(s, f) for s in prep.train_strips]
-            qtable = train_dp_sweep(
-                prefixes,
-                config.qlearn,
-                geom=config.geometry,
-                energy=config.energy,
-                rewards=config.rewards,
-            )
-            policy = _build_policy("qlearn", config, qtable, None)
+            policy = _build_policy("qlearn", config, _sweep(prefixes, config), None)
             points.append(_curve_point("qlearn", f, policy, prep))
         if "bc" in config.roster:
             if f >= 1.0:
@@ -638,7 +624,7 @@ def training_curve(
                 n_f = max(1, int(np.ceil(f * len(pool))))
                 sub = take_demos(pool, pool_order[:n_f])
             demos = balance_dataset(sub, seed=config.bc.seed)
-            model = train_bc(demos, config.bc)
+            model = train_bc(demos, config.bc, energy=config.energy)
             points.append(_curve_point("bc", f, _build_policy("bc", config, None, model), prep))
         if progress:
             got = [p for p in points if abs(p.fraction - f) < 1e-12]
@@ -651,20 +637,14 @@ def _curve_point(learner, fraction, policy, prep: PreparedBench) -> CurvePoint:
     return CurvePoint(
         learner=learner,
         fraction=fraction,
-        mean_pct=float(np.mean(pcts)),
-        min_pct=float(np.min(pcts)),
-        max_pct=float(np.max(pcts)),
+        mean_pct=_mean(pcts),
+        min_pct=min(pcts),
+        max_pct=max(pcts),
     )
 
 
 def curve_to_csv(points: Sequence[CurvePoint], path) -> None:
-    lines = ["learner,fraction,mean_pct,min_pct,max_pct\n"]
-    for p in points:
-        lines.append(
-            f"{p.learner},{_fmt(p.fraction)},{_fmt(p.mean_pct)},{_fmt(p.min_pct)},"
-            f"{_fmt(p.max_pct)}\n"
-        )
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    _write_csv(path, CurvePoint, points)
 
 
 # ---------------------------------------------------------------------------

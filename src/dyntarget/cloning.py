@@ -42,7 +42,7 @@ from .sim import (
     StripIndex,
     strip_index,
 )
-from .world import EnvStrip, check_size, read_checked, write_manifest
+from .world import EnvStrip, check_size, read_checked, write_file
 
 N_FEATURES = 13
 LAYER_SIZES = (13, 32, 16, 8, 4, 1)
@@ -617,13 +617,11 @@ def bc_policy(
 
 
 def save_model(model: MLPModel, path, manifest: Optional[dict] = None) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MODEL_HEADER.pack(MODEL_MAGIC, len(model.weights)))
-        for w, b in zip(model.weights, model.biases):
-            fh.write(struct.pack("<II", w.shape[0], w.shape[1]))
-            fh.write(w.astype("<f4").tobytes())
-            fh.write(b.astype("<f4").tobytes())
-    write_manifest(path, manifest)
+    layers = b"".join(
+        struct.pack("<II", *w.shape) + w.astype("<f4").tobytes() + b.astype("<f4").tobytes()
+        for w, b in zip(model.weights, model.biases)
+    )
+    write_file(path, MODEL_HEADER.pack(MODEL_MAGIC, len(model.weights)), layers, manifest)
 
 
 def load_model(path) -> MLPModel:

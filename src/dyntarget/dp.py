@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConsistencyError, FormatError, ParameterError, ResourceError
 from .sim import (Action, EnergyModel, N_SOC, Observation, Placement, Policy, SensorGeometry,
                   SOC_MAX, StripIndex, charge_rule, strip_index)
-from .world import EnvStrip, RewardModel, check_size, read_checked
+from .world import EnvStrip, RewardModel, check_size, read_checked, write_file
 
 # Enumerating 2^T sequences past this horizon is pointless and slow.
 BRUTE_FORCE_MAX_T = 20
@@ -160,24 +160,30 @@ def brute_force_optimal(
     best_seq: List[Action] = []
     seq: List[Action] = []
 
-    def walk(t0: int, soc: int, acc: float) -> None:
+    def walk(t0: int, soc: int) -> None:
         nonlocal best_value, best_seq
         if t0 == horizon:
+            # the path's rewards added last step first, the order the table
+            # adds them in, so fractional rewards round the same way
+            total = 0.0
+            for t in range(horizon - 1, -1, -1):
+                if seq[t] == Action.SAMPLE:
+                    total = r_sample[t] + total
             # strict improvement keeps the first (lexicographically
             # smallest) optimum, since Off branches are explored first
-            if acc > best_value:
-                best_value = acc
+            if total > best_value:
+                best_value = total
                 best_seq = list(seq)
             return
         seq.append(Action.OFF)
-        walk(t0 + 1, min(soc + re, SOC_MAX), acc)
+        walk(t0 + 1, min(soc + re, SOC_MAX))
         seq.pop()
         if soc >= d:
             seq.append(Action.SAMPLE)
-            walk(t0 + 1, min(max(soc - d + re, 0), SOC_MAX), acc + r_sample[t0])
+            walk(t0 + 1, min(max(soc - d + re, 0), SOC_MAX))
             seq.pop()
 
-    walk(0, soc0, 0.0)
+    walk(0, soc0)
     return best_value, best_seq
 
 
@@ -190,9 +196,7 @@ def save_dp_table(table: DPTable, path) -> None:
     header = DP_HEADER.pack(DP_MAGIC, table.horizon, N_SOC, energy.sample_discharge,
                             energy.recharge_per_step, bytes.fromhex(table.strip_digest),
                             bytes.fromhex(table.models_digest))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(table.values.astype("<f8").tobytes())
+    write_file(path, header, np.ascontiguousarray(table.values, dtype="<f8"))
 
 
 def load_dp_table(path) -> DPTable:

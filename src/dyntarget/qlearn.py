@@ -33,7 +33,7 @@ from .sim import (
     run_as,
     strip_index,
 )
-from .world import EnvStrip, RewardModel, check_size, read_checked, write_manifest
+from .world import EnvStrip, RewardModel, check_size, read_checked, write_file
 
 N_FLAGS = 6
 N_FLAG_COMBOS = 1 << N_FLAGS  # 64
@@ -284,10 +284,8 @@ def q_policy(table: QTable, energy: EnergyModel = EnergyModel()) -> Policy:
 
 
 def save_qtable(table: QTable, path, manifest: Optional[dict] = None) -> None:
-    with open(path, "wb") as fh:
-        fh.write(Q_HEADER.pack(Q_MAGIC, N_Q_STATES, 2))
-        fh.write(table.q.astype("<f4").tobytes())
-    write_manifest(path, manifest)
+    write_file(path, Q_HEADER.pack(Q_MAGIC, N_Q_STATES, 2),
+               np.ascontiguousarray(table.q, dtype="<f4"), manifest)
 
 
 def load_qtable(path) -> QTable:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
 from pathlib import Path
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 

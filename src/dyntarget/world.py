@@ -30,7 +30,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -379,8 +379,17 @@ def check_size(data: bytes, expected: int) -> None:
         raise FormatError("trailing bytes after payload", offset=expected)
 
 
-def write_manifest(path, manifest: Optional[Mapping[str, object]]) -> None:
-    """Write the ``<path>.manifest`` sidecar, if there is a manifest."""
+def write_file(path, header: bytes, payload,
+               manifest: Optional[Mapping[str, object]] = None) -> None:
+    """Write ``header`` then ``payload`` (any C-contiguous buffer) to
+    ``path``, and the ``<path>.manifest`` sidecar when there is a manifest.
+
+    The two parts go out as two writes, so a large payload is never
+    copied to join them.
+    """
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(payload)
     if manifest is not None:
         lines = [f"{k}={v}\n" for k, v in manifest.items()]
         Path(str(path) + ".manifest").write_text("".join(lines), encoding="utf-8")
@@ -388,10 +397,8 @@ def write_manifest(path, manifest: Optional[Mapping[str, object]]) -> None:
 
 def save_dataset(strip: EnvStrip, path, manifest: Optional[Mapping[str, object]] = None) -> None:
     """Write ``strip`` to ``path``; optionally write a manifest sidecar."""
-    with open(path, "wb") as fh:
-        fh.write(HEADER.pack(MAGIC, strip.height, strip.length, strip.pixel_size_km))
-        fh.write(strip.cells.tobytes(order="F"))
-    write_manifest(path, manifest)
+    write_file(path, HEADER.pack(MAGIC, strip.height, strip.length, strip.pixel_size_km),
+               strip.cells.tobytes(order="F"), manifest)
 
 
 def load_dataset(path) -> EnvStrip:

@@ -3,12 +3,12 @@ import dataclasses
 import math
 import shutil
 
-import numpy as np
 import pytest
 
 from dyntarget import (
     BenchConfig,
     DatasetSpec,
+    balance_dataset,
     EnergyModel,
     RewardModel,
     SensorGeometry,
@@ -18,9 +18,17 @@ from dyntarget import (
     load_dp_table,
     measure_latency,
     run_benchmark,
+    train_bc,
     training_curve,
 )
-from dyntarget.bench import CONFIG_KEYS, CSV_HEADER, curve_to_csv
+from dyntarget.bench import (
+    CONFIG_KEYS,
+    CSV_HEADER,
+    _demo_pool,
+    curve_to_csv,
+    prepare_training,
+    train_learners,
+)
 from dyntarget.dp import models_digest
 from dyntarget.world import GenParams, generate_synthetic
 from dyntarget.errors import ConfigError, ParameterError
@@ -131,9 +139,7 @@ DEFAULT_KEYS = {
     "thresholds.need_low": "100",
     "qlearn.alpha": "0.4",
     "qlearn.gamma": "0.99",
-    "qlearn.epsilon": "0.1",
     "qlearn.sweeps": "5",
-    "qlearn.seed": "0",
     "bc.keep_prob": "0.08",
     "bc.loss": "bce",
     "bc.learning_rate": "1e-3",
@@ -147,7 +153,7 @@ DEFAULT_KEYS = {
 
 
 def test_public_config_keys_are_pinned():
-    assert len(DEFAULT_KEYS) == 42
+    assert len(DEFAULT_KEYS) == 40
     assert sorted(CONFIG_KEYS) == sorted(DEFAULT_KEYS)
 
 
@@ -281,6 +287,23 @@ def test_a_cached_table_for_other_rewards_is_rebuilt(tmp_path):
     assert table.models_digest == models_digest(other.geometry, other.energy, other.rewards)
 
 
+def test_the_cloner_trains_under_the_configured_energy_model():
+    # demos below the configured floor carry forced-Off labels and must be
+    # dropped before training, as they are for the default floor
+    config = BenchConfig(
+        energy=EnergyModel(sample_discharge=9, recharge_per_step=2),
+        roster=("bc",),
+        datasets=dataclasses.replace(TINY, train_count=1, test_count=1),
+        bc=dataclasses.replace(BenchConfig().bc, max_epochs=3),
+    )
+    prep = prepare_training(config)
+    _, model = train_learners(prep)
+    demos = balance_dataset(_demo_pool(prep), seed=config.bc.seed)
+    expected = train_bc(demos, config.bc, energy=config.energy)
+    assert [w.tobytes() for w in model.weights] == [w.tobytes() for w in expected.weights]
+    assert [b.tobytes() for b in model.biases] == [b.tobytes() for b in expected.biases]
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -326,14 +349,17 @@ def test_curve_rejects_bad_fractions():
 
 def test_full_fraction_matches_the_plain_benchmark(tmp_path):
     config = BenchConfig(
-        roster=("qlearn", "dp"),
+        roster=("qlearn", "bc", "dp"),
         datasets=dataclasses.replace(TINY, length=400),
+        bc=dataclasses.replace(BenchConfig().bc, max_epochs=5),
     )
     points = training_curve(config, [0.25, 1.0])
     by_frac = {(p.learner, p.fraction): p for p in points}
-    assert set(by_frac) == {("qlearn", 0.25), ("qlearn", 1.0)}
+    assert set(by_frac) == {(learner, f) for learner in ("qlearn", "bc") for f in (0.25, 1.0)}
     report = run_benchmark(config)
-    assert by_frac[("qlearn", 1.0)].mean_pct == pytest.approx(report.mean_pct("qlearn"))
+    # one mean formula: the full-data point is the report's mean exactly
+    for learner in ("qlearn", "bc"):
+        assert by_frac[(learner, 1.0)].mean_pct == report.mean_pct(learner)
     for point in points:
         assert point.min_pct <= point.mean_pct <= point.max_pct
 
@@ -341,7 +367,7 @@ def test_full_fraction_matches_the_plain_benchmark(tmp_path):
     curve_to_csv(points, out)
     lines = out.read_text().splitlines()
     assert lines[0] == "learner,fraction,mean_pct,min_pct,max_pct"
-    assert len(lines) == 3
+    assert len(lines) == 5
 
 
 def test_zero_value_strips_score_by_the_sign_of_the_total():

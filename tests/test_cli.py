@@ -96,6 +96,14 @@ def test_bad_config_is_a_config_error(tmp_path, cfg, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["qlearn.epsilon", "qlearn.seed"])
+def test_keys_no_command_reads_are_refused(tmp_path, cfg, capsys, key):
+    # only train_epsilon_greedy reads these fields, and no command runs it
+    code = main(["train-q", "--config", cfg(f"{key} = 1\n"), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "unknown config keys" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_a_data_error(tmp_path):
     code = main(["gen", "--config", str(tmp_path / "ghost.cfg"),
                  "--out", str(tmp_path / "o")])
