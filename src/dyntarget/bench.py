@@ -461,17 +461,22 @@ class BenchReport:
         return out
 
 
+def _csv_line(row, kinds: Dict[str, object]) -> str:
+    """The fields ``kinds`` (``_field_types`` of its class) of dataclass
+    ``row`` as one CSV line.  A float field prints as ``repr(float(v))``,
+    which round-trips exactly and keeps files byte-stable; any other with
+    ``str``."""
+    return ",".join(
+        repr(float(getattr(row, name))) if kind is float else str(getattr(row, name))
+        for name, kind in kinds.items()
+    )
+
+
 def _write_csv(path, cls, rows) -> None:
-    """Write ``rows`` of dataclass ``cls`` as CSV: the field names, then one
-    line per row.  A float field prints as ``repr(float(v))``, which
-    round-trips exactly and keeps files byte-stable; any other with ``str``."""
+    """Write ``rows`` of dataclass ``cls`` as CSV: the field names, then
+    one ``_csv_line`` per row."""
     kinds = _field_types(cls)
-    lines = [",".join(kinds)]
-    for row in rows:
-        lines.append(",".join(
-            repr(float(getattr(row, name))) if kind is float else str(getattr(row, name))
-            for name, kind in kinds.items()
-        ))
+    lines = [",".join(kinds)] + [_csv_line(row, kinds) for row in rows]
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 

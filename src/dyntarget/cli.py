@@ -15,6 +15,7 @@ from pathlib import Path
 from .bench import (
     BenchConfig,
     FULL_SCALE_LENGTH,
+    LatencyStats,
     curve_to_csv,
     emit_report,
     load_config,
@@ -24,6 +25,8 @@ from .bench import (
     train_learners,
     training_curve,
     _build_policy,
+    _csv_line,
+    _field_types,
 )
 from .cloning import save_model
 from .dp import build_dp_table, save_dp_table
@@ -160,7 +163,8 @@ def _cmd_latency(args) -> int:
     config = _load_base_config(args)
     qtable, model = train_learners(prepare_training(config, outdir=args.out))
     strip = next(config.datasets.strips("test"))
-    print("policy,mean_us,p50_us,p95_us,max_us")
+    kinds = _field_types(LatencyStats)
+    print(",".join(["policy", *kinds]))
     for name in config.roster:
         if name == "dp":
             continue  # planner lookups are not a flight-software path here
@@ -169,10 +173,7 @@ def _cmd_latency(args) -> int:
             policy, strip, args.steps, geom=config.geometry, energy=config.energy,
             soc0=config.soc0,
         )
-        print(
-            f"{name},{stats.mean_us:.2f},{stats.p50_us:.2f},{stats.p95_us:.2f},"
-            f"{stats.max_us:.2f}"
-        )
+        print(f"{name},{_csv_line(stats, kinds)}")
     return EXIT_OK
 
 

@@ -39,13 +39,12 @@ from .sim import (
     Policy,
     SensorGeometry,
     SOC_MAX,
-    StripIndex,
     strip_index,
 )
 from .world import EnvStrip, check_size, read_checked, write_file
 
 N_FEATURES = 13
-LAYER_SIZES = (13, 32, 16, 8, 4, 1)
+LAYER_SIZES = (N_FEATURES, 32, 16, 8, 4, 1)
 
 MODEL_MAGIC = b"DTM1"
 MODEL_HEADER = struct.Struct("<4sI")  # magic, layer count
@@ -57,22 +56,11 @@ _EPS = 1e-12
 # features
 # ---------------------------------------------------------------------------
 
-def _features_at(index: StripIndex, t0s, socs, out: np.ndarray) -> np.ndarray:
-    """Feature rows for 0-based columns ``t0s`` at charges ``socs``, into
-    ``out``: arrays fill an (N, 13) block, scalars one (13,) row by basic
-    indexing."""
-    near, earliest = index.bc_extras()
-    out[..., 0] = socs / SOC_MAX
-    out[..., 1:4] = index.radar_fraction[:, t0s].T
-    out[..., 4:7] = index.look_fraction[:, t0s].T
-    out[..., 7:10] = near[:, t0s].T
-    out[..., 10:13] = earliest[:, t0s].T
-    return out
-
-
 def featurize_bc(obs: Observation) -> np.ndarray:
     """13-value summary of one observation; see the module docstring."""
-    return _features_at(obs.index, obs.t - 1, obs.soc, np.empty(N_FEATURES))
+    row = obs.index.bc_features()[obs.t - 1].copy()
+    row[0] = obs.soc / SOC_MAX
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +110,8 @@ def collect_demonstrations(
     else:
         mask = rng.random((strip.length, N_SOC)) <= keep_prob
     t0s, socs = np.nonzero(mask)
-    feats = _features_at(index, t0s, socs, np.empty((len(t0s), N_FEATURES)))
+    feats = index.bc_features()[t0s]
+    feats[:, 0] = socs / SOC_MAX
     actions = dp_table.samples(t0s, socs).astype(np.uint8)
     return DemoSet(
         features=feats,
@@ -265,6 +254,29 @@ def _forward(model: MLPModel, x: np.ndarray, acts: Sequence[Optional[np.ndarray]
     return z
 
 
+def _forward_row(layers: Sequence[tuple], x: np.ndarray) -> float:
+    """Sample probability of one 1-D feature row ``x``; ``layers`` holds
+    (weights, biases, out) per layer, ``out`` a 1-D buffer for that
+    layer's output or None for a fresh array.
+
+    A 1-D operand takes the same BLAS kernel as a (1, n) row, so each
+    layer's output matches the batch form's for a one-row batch bit for
+    bit; the bias add then has matching shapes.
+    """
+    last = len(layers) - 1
+    z = x
+    for i, (w, b, out) in enumerate(layers):
+        z = np.matmul(z, w, out=out)
+        np.add(z, b, out=z)  # the ufunc call: `z += b` dispatches slower
+        if i < last:
+            np.maximum(z, 0.0, out=z)
+    # _sigmoid's formula on one numpy scalar: np.exp runs the same kernel
+    # as on an array, and scalar arithmetic rounds as the array ufuncs do
+    logit = z[0]
+    t = np.exp(-abs(logit))
+    return float(1.0 / (1.0 + t) if logit >= 0 else t / (1.0 + t))
+
+
 def mlp_forward(model: MLPModel, x: np.ndarray) -> np.ndarray:
     """Sample probability for one feature row or a batch of rows."""
     x = np.asarray(x, dtype=np.float64)
@@ -274,13 +286,9 @@ def mlp_forward(model: MLPModel, x: np.ndarray) -> np.ndarray:
         raise ParameterError(
             f"expected {model.weights[0].shape[0]} features, got {z.shape[1]}"
         )
-    logits = _forward(model, z, [None] * len(model.weights))[:, 0]
-    if not single:
-        return _sigmoid(logits)
-    # _sigmoid's formula on one numpy scalar: np.exp runs the same kernel
-    # as on an array, and scalar arithmetic rounds as the array ufuncs do
-    t = np.exp(-abs(logits[0]))
-    return float(1.0 / (1.0 + t) if logits[0] >= 0 else t / (1.0 + t))
+    if single:
+        return _forward_row([(w, b, None) for w, b in zip(model.weights, model.biases)], x)
+    return _sigmoid(_forward(model, z, [None] * len(model.weights))[:, 0])
 
 
 def _loss(p: np.ndarray, y: np.ndarray, loss: str, scratch: Optional[np.ndarray] = None) -> float:
@@ -591,15 +599,27 @@ class _BCPolicy(Policy):
         self.mode = mode
         self.seed = seed
         self.energy = energy
+        # one input row and one output buffer per layer, reused by every
+        # decision: featurize_bc and mlp_forward's single-row path, in place
+        sizes = model.layer_sizes
+        self._x = np.empty(sizes[0])
+        self._layers = list(zip(model.weights, model.biases, [np.empty(k) for k in sizes[1:]]))
         self.reset()
 
     def reset(self) -> None:
         self._rng = np.random.default_rng(self.seed)
 
+    def _probability(self, obs: Observation) -> float:
+        """``mlp_forward(model, featurize_bc(obs))``, in the policy's buffers."""
+        x = self._x
+        x[:] = obs.index.bc_features()[obs.t - 1]
+        x[0] = obs.soc / SOC_MAX
+        return _forward_row(self._layers, x)
+
     def decide(self, obs: Observation) -> Action:
         if obs.soc < self.energy.sample_discharge:
             return Action.OFF
-        p = mlp_forward(self.model, featurize_bc(obs))
+        p = self._probability(obs)
         if self.mode == "stochastic":
             return Action.SAMPLE if self._rng.random() < p else Action.OFF
         return Action.SAMPLE if p >= 0.5 else Action.OFF

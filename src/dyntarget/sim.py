@@ -12,6 +12,7 @@ forward imager previews the next ``lookahead_len_px`` columns.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -31,6 +32,11 @@ N_SOC = SOC_MAX + 1
 class Action(IntEnum):
     OFF = 0
     SAMPLE = 1
+
+
+# members by value, for lookups cheaper than calling the enum
+_ACTIONS = tuple(Action)
+_CLASSES = tuple(RewardClass)
 
 
 class Placement(IntEnum):
@@ -281,9 +287,26 @@ class StripIndex:
         np.cumsum(iscls, axis=1, out=self.win_best_cum[:, 1:])
 
         self._col_any = col_any
-        self._bc_extra = None
+        self._bc_features = None
 
     # -- queries used by behavioral-cloning features ----------------------
+
+    def bc_features(self) -> np.ndarray:
+        """Read-only (T, 13) float64 block: per column, the behavioral-
+        cloning feature row laid out as ``dyntarget.cloning`` documents,
+        with column 0 (the charge) left 0 for the caller to fill.  Built
+        on first use and kept, so only the cloning path pays for it."""
+        if self._bc_features is None:
+            # allocated before bc_extras' temporaries, so that the kept
+            # block does not end up above them on the heap (about 0.4 MB
+            # of peak RSS on the ladder benchmark)
+            block = np.zeros((len(self.win_lo), 1 + 4 * N_CLASSES))
+            parts = (self.radar_fraction, self.look_fraction) + self.bc_extras()
+            for k, part in enumerate(parts):
+                block[:, 1 + N_CLASSES * k: 1 + N_CLASSES * (k + 1)] = part.T
+            block.flags.writeable = False
+            self._bc_features = block
+        return self._bc_features
 
     def bc_extras(self) -> Tuple[np.ndarray, np.ndarray]:
         """(nearest_norm, earliest_norm), both (3, T) in [0, 1].
@@ -292,11 +315,9 @@ class StripIndex:
         of each class, over the radar radius; 1.0 when the class is
         absent from the footprint.  earliest_norm: offset of the first
         lookahead column containing each class, over the lookahead
-        length; 1.0 when absent from the window.  Built lazily, only the
-        cloning path pays for it.
+        length; 1.0 when absent from the window.  Built afresh on every
+        call; ``bc_features`` keeps the result.
         """
-        if self._bc_extra is not None:
-            return self._bc_extra
         geom, cells = self.geom, self._cells
         h, t = cells.shape
         center = self._center_row
@@ -335,9 +356,7 @@ class StripIndex:
         first = nxt[:, self.win_lo]  # (3, T)
         present = first < self.win_hi1[None, :]
         earliest = np.where(present, (first - self.win_lo[None, :]) / look, 1.0)
-
-        self._bc_extra = (near, earliest)
-        return self._bc_extra
+        return near, earliest
 
 
 def strip_index(strip: EnvStrip, geom: SensorGeometry) -> StripIndex:
@@ -372,6 +391,19 @@ class Observation:
             raise ParameterError(f"soc out of [0, {SOC_MAX}]: {self.soc}")
         if self.index is None:
             self.index = strip_index(self.strip, self.geom)
+
+    @classmethod
+    def _unchecked(cls, strip, geom, t, soc, index) -> "Observation":
+        """An Observation built without ``__post_init__``: the caller
+        guarantees 1 <= t <= strip.length, 0 <= soc <= SOC_MAX and that
+        ``index`` is ``strip_index(strip, geom)``."""
+        obs = object.__new__(cls)
+        obs.strip = strip
+        obs.geom = geom
+        obs.t = t
+        obs.soc = soc
+        obs.index = index
+        return obs
 
     @property
     def radar_cells(self) -> List[Tuple[Tuple[int, int], RewardClass]]:
@@ -482,10 +514,10 @@ def sampled_class(index: StripIndex, t: int, placement: Placement) -> RewardClas
     """Class actually sampled at timestep ``t`` under ``placement``."""
     t0 = t - 1
     if placement == Placement.NADIR:
-        return RewardClass(index.nadir_class[t0])
+        return _CLASSES[index.nadir_class[t0]]
     if placement == Placement.LATERAL:
-        return RewardClass(index.lateral_best[t0])
-    return RewardClass(index.radar_best[t0])
+        return _CLASSES[index.lateral_best[t0]]
+    return _CLASSES[index.radar_best[t0]]
 
 
 def step(
@@ -573,6 +605,19 @@ class EpisodeLog:
         Path(path).write_text("".join(lines), encoding="utf-8")
 
 
+def _as_action(wanted, t: int) -> Action:
+    """The Action member equal to a policy's answer ``wanted``: an Action,
+    a bool, or an integer equal to 0 or 1.  Anything else raises
+    EpisodeError naming step ``t``."""
+    try:
+        code = operator.index(wanted)
+    except TypeError:
+        code = None
+    if code not in (0, 1):
+        raise EpisodeError(f"policy returned {wanted!r} at step {t}, not an Action", step=t)
+    return _ACTIONS[code]
+
+
 def _rollout(
     strip: EnvStrip,
     geom: SensorGeometry,
@@ -585,7 +630,9 @@ def _rollout(
 ) -> Tuple[EpisodeLog, List[int]]:
     """``policy``'s log over ``n_steps`` decisions, and each ``decide``
     call's time in ns.  The policy is reset once; past the strip's end
-    the walk wraps to timestep 1 and charge ``soc0``."""
+    the walk wraps to timestep 1 and charge ``soc0``.  Every step is
+    built as the public ``observe``/``step`` pair would build it, less
+    their checks, which the walk's own bounds make redundant."""
     if not (0 <= soc0 <= SOC_MAX):
         raise ParameterError(f"soc0 out of [0, {SOC_MAX}]: {soc0}")
     if index is None:
@@ -604,25 +651,30 @@ def _rollout(
     violations = 0
     decide_ns: List[int] = []
     perf = time.perf_counter_ns
+    new_obs = Observation._unchecked
+    new_tuple = tuple.__new__  # a StepRecord without the NamedTuple's __new__
+    OFF, SAMPLE = Action.OFF, Action.SAMPLE
     for _ in range(n_steps):
-        obs = Observation(strip, geom, t, soc, index)
+        obs = new_obs(strip, geom, t, soc, index)
         t0 = perf()
         try:
             wanted = policy.decide(obs)
         except Exception as exc:
             raise EpisodeError(f"policy failed at step {t}: {exc}", step=t) from exc
         decide_ns.append(perf() - t0)
+        if wanted is not OFF and wanted is not SAMPLE:
+            wanted = _as_action(wanted, t)
         action, next_soc = run_as(rule, soc, wanted)
-        violations += action != wanted
-        if action == Action.SAMPLE:
+        if action is SAMPLE:
             cls = sampled_class(index, t, placement)
             reward = values[cls]
             counts[cls] += 1
             sampled.append(reward)
         else:
+            violations += wanted is SAMPLE
             cls = None
             reward = 0.0
-        steps.append(StepRecord(t, soc, Action(action), cls, reward))
+        steps.append(new_tuple(StepRecord, (t, soc, action, cls, reward)))
         soc, t = next_soc, t + 1
         if t > strip.length:
             soc, t = soc0, 1
@@ -656,7 +708,8 @@ def run_episode(
     Infeasible sample requests are executed as Off and counted as
     violations, so the trace always respects the energy model.  Policies
     with a ``reset()`` are reset first; with seeded policies this makes
-    repeat runs identical.  A policy exception is re-raised as
+    repeat runs identical.  A policy exception, or an answer other than
+    an Action, a bool or an integer equal to 0 or 1, is raised as
     EpisodeError naming the step.
     """
     return _rollout(strip, geom, energy, rewards, policy, soc0, index, strip.length)[0]

@@ -1,4 +1,5 @@
 """Command-line entry points, driven through main() for exit codes."""
+import dataclasses
 import hashlib
 import struct
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from dyntarget import bench, load_dataset, load_dp_table, load_model, load_qtable
+from dyntarget.bench import LatencyStats
 from dyntarget.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RESOURCE, main
 from dyntarget.world import HEADER, MAGIC
 
@@ -200,11 +202,14 @@ def test_latency_prints_per_policy_stats(tmp_path, cfg, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "policy,mean_us,p50_us,p95_us,max_us"
+    # the table is LatencyStats' fields behind the policy name
+    assert lines[0] == ",".join(["policy"] + [f.name for f in dataclasses.fields(LatencyStats)])
     timed = [line.split(",")[0] for line in lines[1:]]
     assert timed == ["random", "greedy_window"]  # the planner is not timed
     for line in lines[1:]:
-        assert all(float(f) > 0 for f in line.split(",")[1:])
+        *times, n = line.split(",")[1:]
+        assert all(float(f) > 0 for f in times)
+        assert n == "50"
 
 
 @pytest.mark.parametrize("command", ["eval", "curve", "latency"])

@@ -663,6 +663,55 @@ def test_features_match_the_indexed_reference():
     assert np.array_equal(bits(demos.features), bits(want))
 
 
+def oracle_models():
+    """Four networks: three with every bias drawn non-zero, and one
+    trained network pushed to both sides of one half."""
+    models = []
+    for seed in (1, 2, 3):
+        model = init_mlp(seed=seed)
+        rng = np.random.default_rng(seed + 50)
+        for b in model.biases:
+            b[:] = rng.normal(0.0, 0.5, size=b.shape)
+        models.append(model)
+    trained = train_bc(noisy_demos(16), TrainParams(max_epochs=5, patience=50))
+    trained.biases[-1] += 0.3
+    return models + [trained]
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_policy_probability_matches_the_reference_formula(which):
+    """Every (t, soc) cell: the policy's buffered probability equals the
+    indexed features run through fresh (1, n) layers bit for bit, both
+    modes decide from it, and a full-grid demo row is featurize_bc's."""
+    model = oracle_models()[which]
+    strip = generate_synthetic(GenParams(length=90, seed=43 + which))
+    geom = SensorGeometry()
+    index = observe(strip, geom, SatState(t=1, soc=0)).index
+    t0s, socs = np.divmod(np.arange(strip.length * (SOC_MAX + 1)), SOC_MAX + 1)
+    rows = reference_features(index, t0s, socs)
+    demos = collect_demonstrations(build_dp_table(strip, geom, ENERGY, REWARDS), strip,
+                                   keep_prob=1.0, geom=geom)
+    assert np.array_equal(demos.t - 1, t0s) and np.array_equal(demos.soc, socs)
+    threshold = bc_policy(model, mode="threshold", energy=ENERGY)
+    stochastic = bc_policy(model, mode="stochastic", seed=7, energy=ENERGY)
+    draws = np.random.default_rng(7)
+    decided = set()
+    for k, (t0, soc) in enumerate(zip(t0s.tolist(), socs.tolist())):
+        obs = observe(strip, geom, SatState(t=t0 + 1, soc=soc), index=index)
+        row = featurize_bc(obs)
+        assert np.array_equal(bits(row), bits(demos.features[k])), (t0, soc)
+        want = reference_forward(model, rows[k])
+        assert bits(threshold._probability(obs)) == bits(want), (t0, soc)
+        assert bits(mlp_forward(model, row)) == bits(want), (t0, soc)
+        feasible = soc >= ENERGY.sample_discharge
+        expect = Action.SAMPLE if feasible and want >= 0.5 else Action.OFF
+        assert threshold.decide(obs) is expect
+        expect = Action.SAMPLE if feasible and draws.random() < want else Action.OFF
+        assert stochastic.decide(obs) is expect
+        decided.add(expect)
+    assert decided == {Action.OFF, Action.SAMPLE}
+
+
 def test_sigmoid_matches_the_masked_reference():
     edges = [0.0, 1e-300, 709.0, 745.0, 1e308, np.inf]
     z = np.concatenate([

@@ -18,15 +18,22 @@ from dyntarget import (
     RewardModel,
     SatState,
     SensorGeometry,
+    GenParams,
     best_target,
+    build_dp_table,
+    dp_policy,
+    generate_synthetic,
+    init_mlp,
     measure_latency,
     observe,
     run_episode,
     soc_transition,
     step,
+    train_dp_sweep,
 )
+from dyntarget.bench import BenchConfig, _build_policy
 from dyntarget.errors import EpisodeError, InfeasibleActionError, ParameterError
-from dyntarget.sim import SOC_MAX, disc_offsets, strip_index
+from dyntarget.sim import SOC_MAX, StepRecord, disc_offsets, strip_index
 
 ENERGY = EnergyModel()
 REWARDS = RewardModel()
@@ -432,6 +439,42 @@ def test_policy_exception_names_the_step():
     assert err.value.step == 3
 
 
+class Answer(Policy):
+    """Answers Off until step 3, then ``value`` on every step."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def decide(self, obs):
+        return self.value if obs.t >= 3 else Action.OFF
+
+
+@pytest.mark.parametrize("value", [-1, 2, 1.5, None, np.int64(-1), "1"],
+                         ids=["-1", "2", "1.5", "None", "np.int64(-1)", "str"])
+def test_bad_policy_output_names_the_step(value):
+    strip = uniform(5, 10, RewardClass.LOW)
+    geom = SensorGeometry.from_pixels(2, 5)
+    with pytest.raises(EpisodeError) as err:
+        run_episode(strip, geom, ENERGY, REWARDS, Answer(value))
+    assert err.value.step == 3
+    with pytest.raises(EpisodeError) as err:
+        measure_latency(Answer(value), strip, 20, geom, ENERGY)
+    assert err.value.step == 3
+
+
+@pytest.mark.parametrize("value", [
+    Action.SAMPLE, True, False, 1, 0, np.int64(1), np.uint8(0), np.int32(1),
+], ids=["Action.SAMPLE", "True", "False", "1", "0", "np.int64(1)", "np.uint8(0)",
+        "np.int32(1)"])
+def test_integer_answers_are_recorded_as_actions(value):
+    strip = uniform(5, 10, RewardClass.MID)
+    log = run_episode(strip, SensorGeometry.from_pixels(2, 5), ENERGY, REWARDS, Answer(value))
+    action = Action.SAMPLE if value else Action.OFF
+    assert [rec.action for rec in log.steps[2:]] == [action] * 8
+    assert all(type(rec.action) is Action for rec in log.steps)
+    assert log.violations == 0
+
+
 def test_episode_log_to_csv(tmp_path):
     class Script(Policy):
         def decide(self, obs):
@@ -448,6 +491,63 @@ def test_episode_log_to_csv(tmp_path):
         "2,51,sample,mid,10.0\n"
         "3,47,off,,0.0\n"
     )
+
+
+def reference_episode(strip, geom, energy, rewards, policy, soc0):
+    """One episode through the public observe/step pair: an unaffordable
+    sample runs as Off and counts as a violation."""
+    policy.reset()
+    state = SatState(1, soc0)
+    records, sampled, counts, violations = [], [], [0, 0, 0], 0
+    while state.t <= strip.length:
+        action = Action(policy.decide(observe(strip, geom, state)))
+        try:
+            after, reward, cls = step(strip, geom, energy, rewards, state, action,
+                                      policy.placement)
+        except InfeasibleActionError:
+            action, violations = Action.OFF, violations + 1
+            after, reward, cls = step(strip, geom, energy, rewards, state, action,
+                                      policy.placement)
+        records.append(StepRecord(state.t, state.soc, action, cls, reward))
+        if cls is not None:
+            sampled.append(reward)
+            counts[cls] += 1
+        state = after
+    total = 0.0
+    for reward in reversed(sampled):  # last step first, as documented
+        total = reward + total
+    return records, total, tuple(counts), violations
+
+
+def test_episodes_match_the_public_step_loop():
+    config = BenchConfig(seed=4)
+    geom, energy, rewards = config.geometry, config.energy, config.rewards
+    train = generate_synthetic(GenParams(length=120, seed=100))
+    qtable = train_dp_sweep([train], config.qlearn, geom=geom, energy=energy, rewards=rewards)
+    model = init_mlp(seed=5)
+    for b in model.biases:
+        b[:] = np.random.default_rng(6).normal(0.0, 0.3, size=b.shape)
+    strip = generate_synthetic(GenParams(length=300, seed=9))
+    policies = [_build_policy(name, config, qtable, model) for name in config.roster
+                if name != "dp"]
+    policies += [dp_policy(build_dp_table(strip, geom, energy, rewards), strip), SampleAlways()]
+    assert len(policies) == 9
+    seen_violations = 0
+    for policy in policies:
+        for soc0 in (SOC_MAX, 3):
+            log = run_episode(strip, geom, energy, rewards, policy, soc0=soc0)
+            records, total, counts, violations = reference_episode(
+                strip, geom, energy, rewards, policy, soc0)
+            assert log.steps == records, policy.name
+            for rec in log.steps:
+                assert type(rec) is StepRecord
+                assert type(rec.action) is Action
+                assert rec.sampled is None or type(rec.sampled) is RewardClass
+            assert (log.total_reward, log.class_counts, log.violations) == (
+                total, counts, violations), policy.name
+            assert log.off_count == len(records) - sum(counts)
+            seen_violations += violations
+    assert seen_violations > 0  # the reckless policy's coerced samples
 
 
 @given(
