@@ -39,6 +39,7 @@ from .sim import (
     Policy,
     SensorGeometry,
     SOC_MAX,
+    StripIndex,
     strip_index,
 )
 from .world import EnvStrip, check_size, read_checked, write_file
@@ -50,6 +51,9 @@ MODEL_MAGIC = b"DTM1"
 MODEL_HEADER = struct.Struct("<4sI")  # magic, layer count
 
 _EPS = 1e-12
+# 0-d operands: a ufunc takes these more cheaply than a Python float
+_ZERO, _ONE = np.zeros(()), np.ones(())
+_LOSS_BLOCK_ROWS = 4096  # training rows whose losses are summed in one pass
 
 
 # ---------------------------------------------------------------------------
@@ -234,23 +238,24 @@ def _sigmoid(
     t = np.abs(z, out=out)
     np.negative(t, out=t)
     np.exp(t, out=t)
-    den = np.add(t, 1.0, out=den)
+    den = np.add(t, _ONE, out=den)
     np.divide(t, den, out=t)
-    np.divide(1.0, den, out=den)
-    np.copyto(t, den, where=np.greater_equal(z, 0.0, out=nonneg))
+    np.divide(_ONE, den, out=den)
+    np.copyto(t, den, where=np.greater_equal(z, _ZERO, out=nonneg))
     return t
 
 
-def _forward(model: MLPModel, x: np.ndarray, acts: Sequence[Optional[np.ndarray]]) -> np.ndarray:
-    """The (N, 1) logits of rows ``x``; layer i's output is written to
-    ``acts[i]``, or to a fresh array where that is None."""
-    last = len(model.weights) - 1
+def _forward(layers: Sequence[tuple], x: np.ndarray) -> np.ndarray:
+    """The (N, 1) logits of rows ``x``; ``layers`` holds (weights,
+    biases, out) per layer, ``out`` a buffer for that layer's output or
+    None for a fresh array."""
+    last = len(layers) - 1
     z = x
-    for i, (w, b, out) in enumerate(zip(model.weights, model.biases, acts)):
-        z = np.matmul(z, w, out=out)
-        z += b
+    for i, (w, b, out) in enumerate(layers):
+        z = np.dot(z, w, out=out)
+        np.add(z, b, out=z)
         if i < last:
-            np.maximum(z, 0.0, out=z)
+            np.maximum(z, _ZERO, out=z)
     return z
 
 
@@ -286,19 +291,27 @@ def mlp_forward(model: MLPModel, x: np.ndarray) -> np.ndarray:
         raise ParameterError(
             f"expected {model.weights[0].shape[0]} features, got {z.shape[1]}"
         )
+    layers = [(w, b, None) for w, b in zip(model.weights, model.biases)]
     if single:
-        return _forward_row([(w, b, None) for w, b in zip(model.weights, model.biases)], x)
-    return _sigmoid(_forward(model, z, [None] * len(model.weights))[:, 0])
+        return _forward_row(layers, x)
+    return _sigmoid(_forward(layers, z)[:, 0])
 
 
-def _loss(p: np.ndarray, y: np.ndarray, loss: str, scratch: Optional[np.ndarray] = None) -> float:
-    """Mean loss of sample probabilities ``p`` against labels ``y``;
-    ``scratch`` is an optional (3, N) work array.
+def _loss(p: np.ndarray, y: np.ndarray, loss: str, scratch: Optional[np.ndarray] = None):
+    """Mean loss of sample probabilities ``p`` against labels ``y`` along
+    the last axis: a float64 scalar for 1-D input, one mean per row for
+    a (batches, n) block.  ``scratch`` is an optional (3,) + p.shape
+    work array.
 
     The per-element operations and their order are those of
     -mean(y*log(clip(p)) + (1-y)*log(1-clip(p))) and mean((p-y)**2).
+    Each row of a C-contiguous block is reduced on its own by the same
+    pairwise sum as a 1-D array of that length, so a row's mean equals
+    the mean of that row alone bit for bit
+    (``test_training_matches_the_reference_across_loss_blocks``).
     """
-    a, b, c = np.empty((3, len(p))) if scratch is None else scratch
+    a, b, c = np.empty((3,) + p.shape) if scratch is None else scratch
+    n = p.shape[-1]
     if loss == "bce":
         np.maximum(p, _EPS, out=a)
         np.minimum(a, 1.0 - _EPS, out=a)
@@ -308,85 +321,125 @@ def _loss(p: np.ndarray, y: np.ndarray, loss: str, scratch: Optional[np.ndarray]
         np.log(a, out=a)
         a *= np.subtract(1.0, y, out=c)
         b += a
-        return float(-(np.add.reduce(b) / len(p)))
+        return -(np.add.reduce(b, axis=-1) / n)
     np.subtract(p, y, out=a)
     np.square(a, out=a)
-    return float(np.add.reduce(a) / len(p))
+    return np.add.reduce(a, axis=-1) / n
 
 
 @dataclass
 class _Workspace:
     """Every array one forward and backward pass needs, for up to
-    ``rows`` rows; ``head(n)`` cuts each to its first n rows."""
+    ``rows`` rows, and the per-layer plans that run through them; the
+    gradients land in ``grads_w``/``grads_b``.  ``head(n)`` cuts each
+    array to its first n rows."""
 
+    model: MLPModel
+    grads_w: List[np.ndarray]
+    grads_b: List[np.ndarray]
     x: np.ndarray              # (rows, fan_in) batch input
-    y: np.ndarray              # (rows,) labels
-    p: np.ndarray              # (rows,) sample probabilities
+    den: np.ndarray            # (rows,) sigmoid and MSE scratch
     nonneg: np.ndarray         # (rows,) bool, the sigmoid's branch
-    scratch: np.ndarray        # (3, rows) work vectors
     acts: List[np.ndarray]     # each layer's output
     deltas: List[np.ndarray]   # loss gradient at each layer's output
-    masks: List[np.ndarray]    # bool, where each hidden layer's output is > 0
+    positive: List[np.ndarray]  # bool, where a hidden layer's output is > 0
+    masks: List[np.ndarray]    # the same as 1.0 and 0.0
+    forward: List[tuple] = field(init=False)
+    backward: List[tuple] = field(init=False)
+
+    def __post_init__(self):
+        # every array here is a stable view (training updates the model
+        # and the gradients in place), so the plans are built once
+        model, last = self.model, len(self.acts) - 1
+        self.forward = list(zip(model.weights, model.biases, self.acts))
+        self.backward = []
+        for i in range(last, -1, -1):
+            below = self.acts[i - 1] if i > 0 else self.x
+            plan = (below.T, self.deltas[i], self.grads_w[i], self.grads_b[i])
+            if i > 0:  # and what carries delta to the layer below
+                plan += (model.weights[i].T, self.deltas[i - 1], below,
+                         self.positive[i - 1], self.masks[i - 1])
+            else:
+                plan += (None,) * 5
+            self.backward.append(plan)
 
     @classmethod
-    def allocate(cls, layer_sizes: Sequence[int], rows: int) -> "_Workspace":
-        outs = layer_sizes[1:]
+    def allocate(
+        cls,
+        model: MLPModel,
+        grads_w: List[np.ndarray],
+        grads_b: List[np.ndarray],
+        rows: int,
+    ) -> "_Workspace":
+        sizes = model.layer_sizes
+        outs = sizes[1:]
         return cls(
-            x=np.empty((rows, layer_sizes[0])),
-            y=np.empty(rows),
-            p=np.empty(rows),
+            model, grads_w, grads_b,
+            x=np.empty((rows, sizes[0])),
+            den=np.empty(rows),
             nonneg=np.empty(rows, dtype=bool),
-            scratch=np.empty((3, rows)),
             acts=[np.empty((rows, k)) for k in outs],
             deltas=[np.empty((rows, k)) for k in outs],
-            masks=[np.empty((rows, k), dtype=bool) for k in outs[:-1]],
+            positive=[np.empty((rows, k), dtype=bool) for k in outs[:-1]],
+            masks=[np.empty((rows, k)) for k in outs[:-1]],
         )
 
     def head(self, n: int) -> "_Workspace":
         def cut(arrays):
             return [a[:n] for a in arrays]
 
-        return _Workspace(self.x[:n], self.y[:n], self.p[:n], self.nonneg[:n],
-                          self.scratch[:, :n], cut(self.acts), cut(self.deltas), cut(self.masks))
+        return _Workspace(self.model, self.grads_w, self.grads_b, self.x[:n], self.den[:n],
+                          self.nonneg[:n], cut(self.acts), cut(self.deltas),
+                          cut(self.positive), cut(self.masks))
 
 
-def _backprop(
-    model: MLPModel,
-    ws: _Workspace,
-    loss: str,
-    grads_w: List[np.ndarray],
-    grads_b: List[np.ndarray],
-) -> float:
-    """Mean loss of the batch in ``ws.x``/``ws.y``; writes its gradients
-    into ``grads_w``/``grads_b`` and every intermediate into ``ws``.
+def _backprop(ws: _Workspace, y: np.ndarray, p: np.ndarray, loss: str) -> None:
+    """Gradients of the mean loss of the batch in ``ws.x`` against labels
+    ``y``, into the workspace's ``grads_w``/``grads_b``; the sample
+    probabilities go to ``p`` and every intermediate to ``ws``.  The loss
+    itself is left to the caller, ``_loss(p, y, loss)``.
 
-    The per-element operations and their order are those of one fresh
-    array per step (z @ w + b, (p - y) / n, (delta @ w.T) * (act > 0)),
-    so the results match that form bit for bit.
+    In order: the forward pass (per layer z = x . w, z += b, a ReLU
+    below the top), the sigmoid into ``p``, the top delta (p - y) / n
+    (for MSE 2 (p - y) p (1 - p) / n), then per layer, last first:
+    grad_w = below.T . delta, grad_b = the column sums of delta, and,
+    above the input layer, delta_below = (delta . w.T) times the 0.0/1.0
+    float mask of below > 0.
+
+    These are the per-element operations and order of one fresh array
+    per step (z @ w + b, (p - y) / n, (delta @ w.T) * (act > 0)), so the
+    results match that form bit for bit.  A 0.0/1.0 float factor gives
+    the bits the bool mask's cast does, signed zeros and NaN included.
+    ``np.dot`` hands these contiguous float64 operands to the same BLAS
+    routines as ``@`` (gemm, or gemv and dot where a side is a single
+    row or column); where one product is all there is to a sum, as in
+    an outer product, each way rounds it once.  So it gives ``@``'s bits
+    with less dispatch.  In tests/test_cloning.py,
+    ``test_gradients_match_the_per_array_reference`` pins this against
+    ``@`` at 1, 8, 37 and 64 rows, and
+    ``test_training_matches_the_per_array_reference`` pins whole runs
+    with batches of 64, 51, 37 and 1 row, the 51 leaving a short last
+    batch of 1 row.
     """
     n = len(ws.x)
-    last = len(model.weights) - 1
-    logits = _forward(model, ws.x, ws.acts)[:, 0]
-    p = _sigmoid(logits, ws.p, ws.scratch[0], ws.nonneg)
-    value = _loss(p, ws.y, loss, ws.scratch)
-
-    delta = ws.deltas[last]
-    d = np.subtract(p, ws.y, out=delta[:, 0])
+    p = _sigmoid(_forward(ws.forward, ws.x)[:, 0], p, ws.den, ws.nonneg)
+    d = np.subtract(p, y, out=ws.deltas[-1][:, 0])
     if loss == "mse":  # 2 (p - y) p (1 - p); for BCE the sigmoid folds away
         d *= 2.0
         d *= p
-        d *= np.subtract(1.0, p, out=ws.scratch[0])
+        d *= np.subtract(1.0, p, out=ws.den)
     d /= n
-
-    for i in range(last, -1, -1):
-        below = ws.acts[i - 1] if i > 0 else ws.x
-        np.matmul(below.T, delta, out=grads_w[i])
-        np.add.reduce(delta, axis=0, out=grads_b[i])
-        if i > 0:
-            np.matmul(delta, model.weights[i].T, out=ws.deltas[i - 1])
-            delta = ws.deltas[i - 1]
-            delta *= np.greater(below, 0.0, out=ws.masks[i - 1])
-    return value
+    for below_t, delta, grad_w, grad_b, w_t, delta_below, below, positive, mask in ws.backward:
+        np.dot(below_t, delta, out=grad_w)
+        np.add.reduce(delta, axis=0, out=grad_b)
+        if w_t is not None:
+            np.dot(delta, w_t, out=delta_below)
+            # compare into bool, copy into the float mask, multiply float by
+            # float: unlike a bool-by-float multiply or a compare straight
+            # into a float array, none of these needs a cast buffer
+            np.greater(below, _ZERO, out=positive)
+            np.copyto(mask, positive)
+            np.multiply(delta_below, mask, out=delta_below)
 
 
 def mlp_grad(
@@ -402,12 +455,12 @@ def mlp_grad(
         raise ParameterError("need a (N, features) batch with matching labels")
     if loss not in ("bce", "mse"):
         raise ParameterError(f"unknown loss {loss!r}")
-    ws = _Workspace.allocate(model.layer_sizes, len(x))
-    np.copyto(ws.x, x)
-    np.copyto(ws.y, y)
     grads_w, grads_b = _layer_views(np.empty(model.n_params), model.layer_sizes)
-    value = _backprop(model, ws, loss, grads_w, grads_b)
-    return value, grads_w, grads_b
+    ws = _Workspace.allocate(model, grads_w, grads_b, len(x))
+    np.copyto(ws.x, x)
+    p = np.empty(len(x))
+    _backprop(ws, y, p, loss)
+    return float(_loss(p, y, loss)), grads_w, grads_b
 
 
 def _layer_views(
@@ -456,6 +509,17 @@ class TrainParams:
             raise ParameterError(f"val_fraction out of (0, 1): {self.val_fraction}")
 
 
+def _add_losses(total: float, losses) -> float:
+    """``total`` plus each batch's loss in ``losses``, one at a time in
+    batch order; raises FloatingPointError at the first that is not
+    finite."""
+    for value in np.ravel(losses).tolist():
+        if not math.isfinite(value):
+            raise FloatingPointError("training loss went non-finite")
+        total += value
+    return total
+
+
 def train_bc(
     demos: DemoSet,
     params: TrainParams = TrainParams(),
@@ -470,8 +534,21 @@ def train_bc(
     is exactly where a drained expert concentrates its Sample decisions.
     Splits off a validation share, trains up to ``max_epochs`` epochs,
     and stops once validation loss has not improved for ``patience``
-    epochs, returning the best-validation weights.  Raises
-    FloatingPointError if the loss ever goes non-finite.
+    epochs, returning the best-validation weights.
+
+    Each step gathers one batch of the epoch's permutation, runs
+    ``_backprop`` and then one in-place Adam update.  The step keeps the
+    batch's probabilities and labels in a block of up to
+    ``_LOSS_BLOCK_ROWS // batch_size`` full batches; the block's
+    per-batch mean losses are computed in one pass when it fills, and at
+    the end of the epoch, followed by the short last batch's.  They are
+    added to the epoch's total one at a time in batch order, so the
+    history is the running per-batch sum as before, and the block's
+    memory does not grow with the number of demos.  Raises
+    FloatingPointError("training loss went non-finite") when a block or
+    the short batch holds a non-finite loss; that is at most a block of
+    steps after the batch itself, and always before that epoch's
+    validation loss.  Raises it for the validation loss too.
     """
     feasible = np.nonzero(demos.soc >= energy.sample_discharge)[0]
     if len(feasible) < len(demos):
@@ -501,7 +578,7 @@ def train_bc(
     grads_w, grads_b = _layer_views(grad, sizes)
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     tmp, den = np.empty_like(theta), np.empty_like(theta)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, params.learning_rate
     step = 0
 
     history: List[Tuple[float, float]] = []
@@ -509,49 +586,72 @@ def train_bc(
     best = theta.copy()
     stale = 0
     n_train, batch_size = len(x_train), params.batch_size
-    full = _Workspace.allocate(sizes, batch_size)
-    short = full.head(n_train % batch_size)  # the last batch, if it falls short
+    full = _Workspace.allocate(model, grads_w, grads_b, batch_size)
+    n_short = n_train % batch_size
+    short = full.head(n_short)  # the last batch, if it falls short
+    # each full batch's probabilities and labels stay in row k of a block
+    # until the block fills; the short batch uses the extra last row.  One
+    # allocation: as two smaller ones, they raised the peak RSS of a later
+    # 10,000-step rollout by about 0.25 MB
+    block = max(1, _LOSS_BLOCK_ROWS // batch_size)
+    buf = np.empty((5, block + 1, batch_size))
+    probs, labels, scratch = buf[0], buf[1], buf[2:, :block]
+    n_batches = -(-n_train // batch_size)
     for _ in range(params.max_epochs):
         perm = rng.permutation(n_train)
         epoch_loss = 0.0
-        n_batches = 0
+        k = 0
         for start in range(0, n_train, batch_size):
             batch = perm[start: start + batch_size]
-            ws = full if len(batch) == batch_size else short
+            if len(batch) == batch_size:
+                ws, p, y = full, probs[k], labels[k]
+                k += 1
+            else:
+                ws, p, y = short, probs[block, :n_short], labels[block, :n_short]
             # every index is in range, so "clip" changes none; unlike the
             # default "raise" it writes straight into out, with no temporary
             x_train.take(batch, axis=0, out=ws.x, mode="clip")
-            y_train.take(batch, out=ws.y, mode="clip")
-            value = _backprop(model, ws, params.loss, grads_w, grads_b)
-            if not math.isfinite(value):
-                raise FloatingPointError("training loss went non-finite")
-            epoch_loss += value
-            n_batches += 1
+            y_train.take(batch, out=y, mode="clip")
+            _backprop(ws, y, p, params.loss)
+            if k == block:
+                epoch_loss = _add_losses(
+                    epoch_loss, _loss(probs[:k], labels[:k], params.loss, scratch)
+                )
+                k = 0
             step += 1
             bc1 = 1.0 - beta1 ** step
             bc2 = 1.0 - beta2 ** step
             # in place, with the per-element operations and their order of
             #   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g**2
             #   theta -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
-            # so results match a per-array update bit for bit
-            m *= beta1
+            # so results match a per-array update bit for bit; each is a
+            # direct ufunc call, a little cheaper than `m *= beta1`
+            np.multiply(m, beta1, out=m)
             np.multiply(grad, 1 - beta1, out=tmp)
-            m += tmp
-            v *= beta2
+            np.add(m, tmp, out=m)
+            np.multiply(v, beta2, out=v)
             np.multiply(grad, grad, out=tmp)
-            tmp *= 1 - beta2
-            v += tmp
+            np.multiply(tmp, 1 - beta2, out=tmp)
+            np.add(v, tmp, out=v)
             np.divide(m, bc1, out=tmp)
-            tmp *= params.learning_rate
+            np.multiply(tmp, lr, out=tmp)
             np.divide(v, bc2, out=den)
             np.sqrt(den, out=den)
-            den += eps
-            tmp /= den
-            theta -= tmp
-        val_loss = _loss(mlp_forward(model, x_val), y_val, params.loss)
+            np.add(den, eps, out=den)
+            np.divide(tmp, den, out=tmp)
+            np.subtract(theta, tmp, out=theta)
+        if k:
+            epoch_loss = _add_losses(
+                epoch_loss, _loss(probs[:k], labels[:k], params.loss, scratch[:, :k])
+            )
+        if n_short:
+            epoch_loss = _add_losses(
+                epoch_loss, _loss(probs[block, :n_short], labels[block, :n_short], params.loss)
+            )
+        val_loss = float(_loss(mlp_forward(model, x_val), y_val, params.loss))
         if not math.isfinite(val_loss):
             raise FloatingPointError("validation loss went non-finite")
-        history.append((epoch_loss / max(n_batches, 1), val_loss))
+        history.append((epoch_loss / n_batches, val_loss))
         if val_loss < best_val:
             best_val = val_loss
             np.copyto(best, theta)
@@ -608,6 +708,9 @@ class _BCPolicy(Policy):
 
     def reset(self) -> None:
         self._rng = np.random.default_rng(self.seed)
+
+    def prepare(self, index: StripIndex) -> None:
+        index.bc_features()
 
     def _probability(self, obs: Observation) -> float:
         """``mlp_forward(model, featurize_bc(obs))``, in the policy's buffers."""

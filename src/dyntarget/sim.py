@@ -459,7 +459,9 @@ class Policy:
 
     ``placement`` tells the simulator where this policy's samples land;
     ``reset`` restores any internal randomness to its seeded start so
-    repeated episodes are identical.
+    repeated episodes are identical; ``prepare`` builds whatever the
+    policy reads from the strip's index before the first decision is
+    timed.
     """
 
     name = "policy"
@@ -469,6 +471,9 @@ class Policy:
         raise NotImplementedError
 
     def reset(self) -> None:
+        pass
+
+    def prepare(self, index: StripIndex) -> None:
         pass
 
 
@@ -629,10 +634,11 @@ def _rollout(
     n_steps: int,
 ) -> Tuple[EpisodeLog, List[int]]:
     """``policy``'s log over ``n_steps`` decisions, and each ``decide``
-    call's time in ns.  The policy is reset once; past the strip's end
-    the walk wraps to timestep 1 and charge ``soc0``.  Every step is
-    built as the public ``observe``/``step`` pair would build it, less
-    their checks, which the walk's own bounds make redundant."""
+    call's time in ns.  The policy is reset and prepared once, before
+    the first clock; past the strip's end the walk wraps to timestep 1
+    and charge ``soc0``.  Every step is built as the public
+    ``observe``/``step`` pair would build it, less their checks, which
+    the walk's own bounds make redundant."""
     if not (0 <= soc0 <= SOC_MAX):
         raise ParameterError(f"soc0 out of [0, {SOC_MAX}]: {soc0}")
     if index is None:
@@ -640,6 +646,9 @@ def _rollout(
     reset = getattr(policy, "reset", None)
     if reset is not None:
         reset()
+    prepare = getattr(policy, "prepare", None)
+    if prepare is not None:  # one-off index work, outside the decide clock
+        prepare(index)
     placement = getattr(policy, "placement", Placement.DISC)
     rule = charge_rule(energy).tolist()
     values = rewards.values().tolist()

@@ -105,6 +105,7 @@ def test_sweep_learner_reaches_the_planner(capsys, geom_small):
         assert got == want
 
 
+@pytest.mark.slow
 def test_policy_ladder_is_ordered(capsys, desk_benchmark):
     report, elapsed = desk_benchmark
     names = ("random", "greedy_nadir", "greedy_lateral", "greedy_radar",
@@ -129,6 +130,7 @@ def test_policy_ladder_is_ordered(capsys, desk_benchmark):
     assert elapsed < 900.0
 
 
+@pytest.mark.slow
 def test_duty_cycle_band(capsys, desk_benchmark):
     report, _ = desk_benchmark
     fracs = [(row.policy, row.dataset, row.frac_off) for row in report.rows]
@@ -222,6 +224,7 @@ def test_gradients_are_exact(capsys):
     assert worst < 1e-4
 
 
+@pytest.mark.slow
 def test_cloned_policy_agrees_with_the_expert(capsys):
     config = BenchConfig(
         roster=("bc",),
@@ -245,6 +248,7 @@ def test_cloned_policy_agrees_with_the_expert(capsys):
         assert s >= 0.85
 
 
+@pytest.mark.slow
 def test_learning_scales_with_data(capsys):
     config = BenchConfig(
         datasets=dataclasses.replace(DatasetSpec(), length=3000, test_count=5),

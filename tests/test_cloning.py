@@ -497,6 +497,10 @@ def noisy_demos(seed):
         ("mse", 37, 200, 3),
         ("bce", 37, 12, 50),  # runs to max_epochs
         ("mse", 64, 12, 50),
+        ("bce", 51, 12, 50),  # 5 full batches and a short one of 1 row
+        ("mse", 51, 12, 50),
+        ("bce", 1, 12, 50),   # batches of one row
+        ("mse", 1, 12, 50),
     ],
 )
 def test_training_matches_the_per_array_reference(loss, batch_size, max_epochs, patience):
@@ -513,6 +517,44 @@ def test_training_matches_the_per_array_reference(loss, batch_size, max_epochs, 
     for got, want in zip(model.weights + model.biases, expected.weights + expected.biases):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+def labelled_rows(seed, n):
+    """``n`` feasible rows with noisy labels."""
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, N_FEATURES))
+    return synth_demos(x, (x[:, 4] + 0.4 * rng.random(n) > 0.7).astype(np.uint8))
+
+
+@pytest.mark.parametrize("loss", ["bce", "mse"])
+def test_training_matches_the_reference_across_loss_blocks(loss):
+    # 4230 training rows: 66 full batches of 64, more than one block of
+    # batch losses, and a short batch of 6 rows
+    demos = labelled_rows(21, 4700)
+    params = TrainParams(loss=loss, learning_rate=3e-3, max_epochs=3, patience=50, seed=5)
+    model, history = train_bc(demos, params, return_history=True)
+    expected, expected_history = reference_train(demos, params)
+    assert len(history) == 3
+    assert history == expected_history
+    for got, want in zip(model.weights + model.biases, expected.weights + expected.biases):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("loss", ["bce", "mse"])
+@pytest.mark.parametrize("rows", [1, 8, 37, 64])
+def test_gradients_match_the_per_array_reference(loss, rows):
+    rng = np.random.default_rng(rows)
+    model = init_mlp(seed=rows)
+    for b in model.biases:
+        b[:] = rng.normal(0.0, 0.5, size=b.shape)
+    x = rng.random((rows, N_FEATURES))
+    y = rng.integers(0, 2, rows).astype(np.float64)
+    value, gw, gb = mlp_grad(model, x, y, loss=loss)
+    want_value, want_w, want_b = reference_grad(model, x, y, loss)
+    assert bits(value) == bits(want_value)
+    for got, want in zip(gw + gb, want_w + want_b):
+        assert got.shape == want.shape
+        assert np.array_equal(bits(got), bits(want))
 
 
 def test_trained_models_share_no_memory():
@@ -540,6 +582,20 @@ def test_non_finite_training_loss_raises():
     demos = synth_demos(x, (x[:, 1] > 0.5).astype(np.uint8))
     with pytest.raises(FloatingPointError, match="training loss"):
         train_bc(demos, TrainParams(max_epochs=3))
+
+
+def test_non_finite_loss_in_the_short_last_batch_raises():
+    demos = labelled_rows(17, 200)
+    params = TrainParams(max_epochs=3)
+    # train_bc's own draws: the validation split, then the first epoch's order
+    rng = np.random.default_rng(params.seed)
+    order = rng.permutation(200)
+    train_idx = order[20:]
+    perm = rng.permutation(len(train_idx))
+    assert len(train_idx) % params.batch_size == 52
+    demos.features[train_idx[perm[-1]], 5] = np.nan
+    with pytest.raises(FloatingPointError, match="training loss"):
+        train_bc(demos, params)
 
 
 # ---------------------------------------------------------------------------

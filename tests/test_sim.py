@@ -1,6 +1,7 @@
 """Geometry, charge transitions, stepping, and episode bookkeeping."""
 import gc
 import math
+import time
 import weakref
 
 import numpy as np
@@ -19,6 +20,7 @@ from dyntarget import (
     SatState,
     SensorGeometry,
     GenParams,
+    bc_policy,
     best_target,
     build_dp_table,
     dp_policy,
@@ -437,6 +439,38 @@ def test_policy_exception_names_the_step():
     with pytest.raises(EpisodeError) as err:
         measure_latency(Broken(), strip, 20, SensorGeometry.from_pixels(2, 5), ENERGY)
     assert err.value.step == 3
+
+
+@pytest.mark.parametrize("runner", ["run_episode", "measure_latency"])
+def test_bc_features_are_built_before_the_first_clock(monkeypatch, runner):
+    """A bc policy's feature block is one-off index work: the rollout has
+    the policy's prepare hook build it before it times the first decide."""
+    strip = generate_synthetic(GenParams(length=40, seed=3))
+    geom = SensorGeometry()
+    index = strip_index(strip, geom)
+    events = []
+    features = index.bc_features
+
+    def spy():
+        events.append("features")
+        return features()
+
+    clock = time.perf_counter_ns
+
+    def timed():
+        events.append("clock")
+        return clock()
+
+    monkeypatch.setattr(index, "bc_features", spy)
+    monkeypatch.setattr(time, "perf_counter_ns", timed)
+    policy = bc_policy(init_mlp(seed=1), mode="threshold", energy=ENERGY)
+    if runner == "run_episode":
+        run_episode(strip, geom, ENERGY, REWARDS, policy, index=index)
+    else:
+        measure_latency(policy, strip, 30, geom, ENERGY)
+    monkeypatch.undo()
+    assert events[0] == "features"
+    assert events.count("clock") == 2 * (40 if runner == "run_episode" else 30)
 
 
 class Answer(Policy):
