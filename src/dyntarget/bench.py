@@ -21,12 +21,15 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cloning import (
+    MODEL_MAGIC,
     DemoSet,
     TrainParams,
     balance_dataset,
     bc_policy,
     collect_demonstrations,
+    load_model,
     merge_demos,
+    save_model,
     take_demos,
     train_bc,
 )
@@ -49,7 +52,15 @@ from .heuristics import (
     greedy_window,
     random_policy,
 )
-from .qlearn import QLearnParams, QTable, q_policy, train_dp_sweep
+from .qlearn import (
+    Q_MAGIC,
+    QLearnParams,
+    QTable,
+    load_qtable,
+    q_policy,
+    save_qtable,
+    train_dp_sweep,
+)
 from .sim import (
     EnergyModel,
     EpisodeLog,
@@ -320,23 +331,16 @@ class PreparedBench:
     train_strips: List[EnvStrip]
     test_strips: List[EnvStrip]
     test_tables: List[DPTable]
-    train_tables: List[DPTable]
 
 
-def prepare_training(config: BenchConfig, outdir=None) -> PreparedBench:
-    """The training strips, planned when the roster has the cloner; no
-    test strips."""
-    train = list(config.datasets.strips("train"))
-    tables = []
-    if "bc" in config.roster:
-        cache_dir = _cache_dir(outdir)
-        tables = [_dp_for(strip, config, cache_dir) for strip in train]
-    return PreparedBench(config, train, [], [], tables)
+def prepare_training(config: BenchConfig) -> PreparedBench:
+    """The training strips; no test strips."""
+    return PreparedBench(config, list(config.datasets.strips("train")), [], [])
 
 
 def prepare_bench(config: BenchConfig, outdir=None, progress: bool = False) -> PreparedBench:
     """``prepare_training`` plus every test strip and its planner table."""
-    prep = prepare_training(config, outdir)
+    prep = prepare_training(config)
     prep.test_strips = list(config.datasets.strips("test"))
     if progress:
         print(f"resolved {len(prep.train_strips)} train / {len(prep.test_strips)} test strips")
@@ -348,18 +352,19 @@ def prepare_bench(config: BenchConfig, outdir=None, progress: bool = False) -> P
     return prep
 
 
-def _demo_pool(prep: PreparedBench) -> DemoSet:
-    """Planner demonstrations from every training strip, unbalanced."""
+def _demo_pool(prep: PreparedBench, cache_dir: Optional[Path] = None) -> DemoSet:
+    """Planner demonstrations from every training strip, unbalanced; each
+    strip is planned, or its table read from ``cache_dir``, in turn."""
     config = prep.config
     parts = [
         collect_demonstrations(
-            table,
+            _dp_for(strip, config, cache_dir),
             strip,
             keep_prob=config.bc.keep_prob,
             seed=config.bc.seed + i,
             geom=config.geometry,
         )
-        for i, (strip, table) in enumerate(zip(prep.train_strips, prep.train_tables))
+        for i, strip in enumerate(prep.train_strips)
     ]
     return merge_demos(parts)
 
@@ -371,20 +376,86 @@ def _sweep(strips: Sequence[EnvStrip], config: BenchConfig) -> QTable:
     )
 
 
-def train_learners(prep: PreparedBench, progress: bool = False):
-    """Train whatever the roster needs; returns (qtable, bc model)."""
+QTABLE_FILE = "qtable.dtq"
+MODEL_FILE = "bc_model.dtm"
+
+
+def _learner_key(prep: PreparedBench, params) -> Tuple[str, str, str]:
+    """The key of a learner trained on ``prep``'s training strips with
+    ``params``: the three digests ``world.UNKEYED`` describes."""
+    config = prep.config
+    strips = b"".join(bytes.fromhex(strip.digest()) for strip in prep.train_strips)
+    return (
+        hashlib.sha256(strips).hexdigest(),
+        models_digest(config.geometry, config.energy, config.rewards),
+        hashlib.sha256(repr(params).encode()).hexdigest(),
+    )
+
+
+def _learner_path(outdir, name: str) -> Optional[Path]:
+    return Path(outdir) / name if outdir is not None else None
+
+
+def _saved(path: Optional[Path], magic: bytes, load, key, progress: bool):
+    """The learner saved at ``path`` if it was trained on ``key``'s inputs,
+    else None.  A file of another format is never read past its magic; a
+    file of this format that fails to parse raises FormatError."""
+    if path is None:
+        return None
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(len(magic)) != magic:
+                return None
+    except FileNotFoundError:
+        return None
+    learner = load(path)
+    if learner.key != key:
+        return None
+    if progress:
+        print(f"reused {path}")
+    return learner
+
+
+def _save(learner, key, path: Optional[Path], save, manifest: dict) -> None:
+    """Key a freshly trained learner and save it at ``path``, if any."""
+    learner.key = key
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save(learner, path, manifest)
+
+
+def train_learners(prep: PreparedBench, outdir=None, progress: bool = False):
+    """Train whatever the roster needs; returns (qtable, bc model).
+
+    With an ``outdir``, a learner saved there by a run on the same
+    training strips, models and learner params is reused instead, and a
+    trained one is saved there.
+    """
     config = prep.config
     qtable = None
     model = None
     if "qlearn" in config.roster:
-        qtable = _sweep(prep.train_strips, config)
-        if progress:
-            print(f"swept q table over {len(prep.train_strips)} strips")
+        q = config.qlearn
+        path, key = _learner_path(outdir, QTABLE_FILE), _learner_key(prep, q)
+        qtable = _saved(path, Q_MAGIC, load_qtable, key, progress)
+        if qtable is None:
+            qtable = _sweep(prep.train_strips, config)
+            if progress:
+                print(f"swept q table over {len(prep.train_strips)} strips")
+            manifest = {"alpha": q.alpha, "gamma": q.gamma, "sweeps": q.sweeps}
+            _save(qtable, key, path, save_qtable, manifest)
     if "bc" in config.roster:
-        demos = balance_dataset(_demo_pool(prep), seed=config.bc.seed)
-        model = train_bc(demos, config.bc, energy=config.energy)
-        if progress:
-            print(f"cloned planner from {len(demos)} balanced demos")
+        bc = config.bc
+        path, key = _learner_path(outdir, MODEL_FILE), _learner_key(prep, bc)
+        model = _saved(path, MODEL_MAGIC, load_model, key, progress)
+        if model is None:
+            demos = balance_dataset(_demo_pool(prep, _cache_dir(outdir)), seed=bc.seed)
+            model = train_bc(demos, bc, energy=config.energy)
+            if progress:
+                print(f"cloned planner from {len(demos)} balanced demos")
+            manifest = {"keep_prob": bc.keep_prob, "loss": bc.loss,
+                        "learning_rate": bc.learning_rate}
+            _save(model, key, path, save_model, manifest)
     return qtable, model
 
 
@@ -511,7 +582,7 @@ def _score(prep: PreparedBench, policy: Optional[Policy]) -> List[Tuple[EpisodeL
 def run_benchmark(config: BenchConfig, outdir=None, progress: bool = False) -> BenchReport:
     """Score the whole roster on every test strip."""
     prep = prepare_bench(config, outdir=outdir, progress=progress)
-    qtable, model = train_learners(prep, progress=progress)
+    qtable, model = train_learners(prep, outdir, progress=progress)
     labels = tuple(f"test{i:02d}" for i in range(len(prep.test_strips)))
     rows: List[ReportRow] = []
     for name in config.roster:
@@ -614,7 +685,7 @@ def training_curve(
     pool = None
     pool_order = None
     if "bc" in config.roster:
-        pool = _demo_pool(prep)
+        pool = _demo_pool(prep, _cache_dir(outdir))
         pool_order = np.random.default_rng(config.bc.seed).permutation(len(pool))
     points: List[CurvePoint] = []
     for f in fractions:

@@ -15,6 +15,8 @@ from pathlib import Path
 from .bench import (
     BenchConfig,
     FULL_SCALE_LENGTH,
+    MODEL_FILE,
+    QTABLE_FILE,
     LatencyStats,
     curve_to_csv,
     emit_report,
@@ -28,7 +30,6 @@ from .bench import (
     _csv_line,
     _field_types,
 )
-from .cloning import save_model
 from .dp import build_dp_table, save_dp_table
 from .errors import (
     ConfigError,
@@ -37,7 +38,6 @@ from .errors import (
     ParameterError,
     ResourceError,
 )
-from .qlearn import save_qtable
 from .world import class_fractions, generate_synthetic, load_dataset, save_dataset
 
 EXIT_OK = 0
@@ -100,41 +100,15 @@ def _cmd_dp(args) -> int:
 def _cmd_train_q(args) -> int:
     config = dataclasses.replace(_load_base_config(args), roster=("qlearn",))
     prep = prepare_training(config)
-    table, _ = train_learners(prep)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "qtable.dtq"
-    save_qtable(
-        table,
-        path,
-        manifest={
-            "alpha": config.qlearn.alpha,
-            "gamma": config.qlearn.gamma,
-            "sweeps": config.qlearn.sweeps,
-        },
-    )
-    print(f"{path}  trained on {len(prep.train_strips)} strips")
+    train_learners(prep, args.out)
+    print(f"{Path(args.out) / QTABLE_FILE}  trained on {len(prep.train_strips)} strips")
     return EXIT_OK
 
 
 def _cmd_train_bc(args) -> int:
-    config = _load_base_config(args)
-    config = dataclasses.replace(config, roster=("bc",))
-    prep = prepare_training(config, outdir=args.out)
-    _, model = train_learners(prep, progress=True)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "bc_model.dtm"
-    save_model(
-        model,
-        path,
-        manifest={
-            "keep_prob": config.bc.keep_prob,
-            "loss": config.bc.loss,
-            "learning_rate": config.bc.learning_rate,
-        },
-    )
-    print(f"{path}  layers {'x'.join(str(s) for s in model.layer_sizes)}")
+    config = dataclasses.replace(_load_base_config(args), roster=("bc",))
+    _, model = train_learners(prepare_training(config), args.out, progress=True)
+    print(f"{Path(args.out) / MODEL_FILE}  layers {'x'.join(str(s) for s in model.layer_sizes)}")
     return EXIT_OK
 
 
@@ -161,7 +135,7 @@ def _cmd_curve(args) -> int:
 
 def _cmd_latency(args) -> int:
     config = _load_base_config(args)
-    qtable, model = train_learners(prepare_training(config, outdir=args.out))
+    qtable, model = train_learners(prepare_training(config), args.out)
     strip = next(config.datasets.strips("test"))
     kinds = _field_types(LatencyStats)
     print(",".join(["policy", *kinds]))

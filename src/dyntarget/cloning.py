@@ -42,13 +42,14 @@ from .sim import (
     StripIndex,
     strip_index,
 )
-from .world import EnvStrip, check_size, read_checked, write_file
+from .world import UNKEYED, EnvStrip, check_size, read_checked, write_file
 
 N_FEATURES = 13
 LAYER_SIZES = (N_FEATURES, 32, 16, 8, 4, 1)
 
-MODEL_MAGIC = b"DTM1"
-MODEL_HEADER = struct.Struct("<4sI")  # magic, layer count
+MODEL_MAGIC = b"DTM2"
+# magic, layer count, then the key: training strips, models and params digests
+MODEL_HEADER = struct.Struct("<4sI32s32s32s")
 
 _EPS = 1e-12
 # 0-d operands: a ufunc takes these more cheaply than a Python float
@@ -196,10 +197,15 @@ def balance_dataset(demos: DemoSet, seed: int = 0) -> DemoSet:
 
 @dataclass
 class MLPModel:
-    """Fully-connected ReLU stack with a sigmoid head, float64 params."""
+    """Fully-connected ReLU stack with a sigmoid head, float64 params.
+
+    ``key`` names what the model was trained on (see ``world.UNKEYED``);
+    the trainer leaves it unkeyed and whoever knows the inputs sets it.
+    """
 
     weights: List[np.ndarray]  # weights[i] has shape (fan_in, fan_out)
     biases: List[np.ndarray]
+    key: Tuple[str, str, str] = UNKEYED
 
     @property
     def layer_sizes(self) -> Tuple[int, ...]:
@@ -740,19 +746,24 @@ def bc_policy(
 
 
 def save_model(model: MLPModel, path, manifest: Optional[dict] = None) -> None:
+    """Write every weight and bias exactly, as float64, and the model's
+    key."""
     layers = b"".join(
-        struct.pack("<II", *w.shape) + w.astype("<f4").tobytes() + b.astype("<f4").tobytes()
+        struct.pack("<II", *w.shape) + w.astype("<f8").tobytes() + b.astype("<f8").tobytes()
         for w, b in zip(model.weights, model.biases)
     )
-    write_file(path, MODEL_HEADER.pack(MODEL_MAGIC, len(model.weights)), layers, manifest)
+    header = MODEL_HEADER.pack(MODEL_MAGIC, len(model.weights), *map(bytes.fromhex, model.key))
+    write_file(path, header, layers, manifest)
 
 
 def load_model(path) -> MLPModel:
-    data, (n_layers,) = read_checked(path, MODEL_MAGIC, MODEL_HEADER)
+    """Read a model written by ``save_model``, its parameters as layer views
+    into one fresh flat vector: the form ``train_bc`` returns."""
+    data, (n_layers, *key) = read_checked(path, MODEL_MAGIC, MODEL_HEADER)
     if n_layers == 0 or n_layers > 64:
         raise FormatError(f"unreasonable layer count {n_layers}", offset=4)
     pos = MODEL_HEADER.size
-    weights, biases = [], []
+    chunks, shapes = [], []
     for _ in range(n_layers):
         if len(data) < pos + 8:
             raise FormatError("truncated layer header", offset=len(data))
@@ -760,17 +771,17 @@ def load_model(path) -> MLPModel:
         pos += 8
         if fan_in == 0 or fan_out == 0 or fan_in * fan_out > (1 << 24):
             raise FormatError(f"unreasonable layer shape {fan_in}x{fan_out}", offset=pos - 8)
-        need = (fan_in * fan_out + fan_out) * 4
-        if len(data) < pos + need:
+        count = fan_in * fan_out + fan_out
+        if len(data) < pos + count * 8:
             raise FormatError("truncated layer payload", offset=len(data))
-        w = np.frombuffer(data, dtype="<f4", count=fan_in * fan_out, offset=pos)
-        pos += fan_in * fan_out * 4
-        b = np.frombuffer(data, dtype="<f4", count=fan_out, offset=pos)
-        pos += fan_out * 4
-        weights.append(w.reshape((fan_in, fan_out)).astype(np.float64))
-        biases.append(b.astype(np.float64))
+        # a layer's weights and then its biases: train_bc's parameter order
+        chunks.append(np.frombuffer(data, dtype="<f8", count=count, offset=pos))
+        pos += count * 8
+        shapes.append((fan_in, fan_out))
     check_size(data, pos)
-    for prev, nxt in zip(weights[:-1], weights[1:]):
-        if prev.shape[1] != nxt.shape[0]:
-            raise FormatError("layer shapes do not chain", offset=8)
-    return MLPModel(weights=weights, biases=biases)
+    for (_, fan_out), (fan_in, _) in zip(shapes[:-1], shapes[1:]):
+        if fan_out != fan_in:
+            raise FormatError("layer shapes do not chain", offset=MODEL_HEADER.size)
+    sizes = [fan_in for fan_in, _ in shapes] + [shapes[-1][1]]
+    weights, biases = _layer_views(np.concatenate(chunks, dtype=np.float64), sizes)
+    return MLPModel(weights, biases, tuple(digest.hex() for digest in key))

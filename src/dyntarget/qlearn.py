@@ -33,14 +33,15 @@ from .sim import (
     run_as,
     strip_index,
 )
-from .world import EnvStrip, RewardModel, check_size, read_checked, write_file
+from .world import UNKEYED, EnvStrip, RewardModel, check_size, read_checked, write_file
 
 N_FLAGS = 6
 N_FLAG_COMBOS = 1 << N_FLAGS  # 64
 N_Q_STATES = N_SOC * N_FLAG_COMBOS  # 6464
 
-Q_MAGIC = b"DTQ1"
-Q_HEADER = struct.Struct("<4sII")  # magic, states, actions
+Q_MAGIC = b"DTQ2"
+# magic, states, actions, then the key: training strips, models and params digests
+Q_HEADER = struct.Struct("<4sII32s32s32s")
 
 @dataclass(frozen=True)
 class QLearnParams:
@@ -100,11 +101,16 @@ def featurize_q(obs: Observation) -> QState:
 
 
 class QTable:
-    """Action values plus per-cell visit counts, both zero-initialized."""
+    """Action values plus per-cell visit counts, both zero-initialized.
+
+    ``key`` names what the values were trained on (see ``world.UNKEYED``);
+    the trainer leaves it unkeyed and whoever knows the inputs sets it.
+    """
 
     def __init__(self):
         self.q = np.zeros((N_Q_STATES, 2), dtype=np.float64)
         self.visits = np.zeros((N_Q_STATES, 2), dtype=np.int64)
+        self.key = UNKEYED
 
 
 def q_update(
@@ -284,16 +290,19 @@ def q_policy(table: QTable, energy: EnergyModel = EnergyModel()) -> Policy:
 
 
 def save_qtable(table: QTable, path, manifest: Optional[dict] = None) -> None:
-    write_file(path, Q_HEADER.pack(Q_MAGIC, N_Q_STATES, 2),
-               np.ascontiguousarray(table.q, dtype="<f4"), manifest)
+    """Write the values exactly, as float64, and the table's key; visit
+    counts are training state and are not saved."""
+    header = Q_HEADER.pack(Q_MAGIC, N_Q_STATES, 2, *map(bytes.fromhex, table.key))
+    write_file(path, header, np.ascontiguousarray(table.q, dtype="<f8"), manifest)
 
 
 def load_qtable(path) -> QTable:
-    data, (n_states, n_actions) = read_checked(path, Q_MAGIC, Q_HEADER)
+    data, (n_states, n_actions, *key) = read_checked(path, Q_MAGIC, Q_HEADER)
     if n_states != N_Q_STATES or n_actions != 2:
         raise FormatError(f"unsupported table shape {n_states}x{n_actions}", offset=4)
-    check_size(data, Q_HEADER.size + n_states * n_actions * 4)
-    values = np.frombuffer(data, dtype="<f4", count=n_states * n_actions, offset=Q_HEADER.size)
+    check_size(data, Q_HEADER.size + n_states * n_actions * 8)
+    values = np.frombuffer(data, dtype="<f8", count=n_states * n_actions, offset=Q_HEADER.size)
     table = QTable()
     table.q = values.reshape((n_states, n_actions)).astype(np.float64)
+    table.key = tuple(digest.hex() for digest in key)
     return table

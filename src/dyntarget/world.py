@@ -358,6 +358,12 @@ def class_fractions(strip: EnvStrip) -> Tuple[float, float, float]:
 # serialization
 # ---------------------------------------------------------------------------
 
+# A learner file's key: sha256 hex digests of the strips it was trained
+# on, in order, of the models it was trained under and of its training
+# params.  A learner trained outside a benchmark run names no inputs.
+UNKEYED = ("0" * 64,) * 3
+
+
 def read_checked(path, magic: bytes, header: struct.Struct) -> Tuple[bytes, tuple]:
     """Read ``path`` whose ``header`` starts with ``magic``.
 

@@ -23,3 +23,18 @@ def make_uniform():
         return EnvStrip(np.full((height, length), int(cls), dtype=np.uint8))
 
     return build
+
+
+@pytest.fixture
+def bench_calls(monkeypatch):
+    """Counts of the benchmark's learner trainings and learner file loads."""
+    from dyntarget import bench
+
+    calls = dict.fromkeys(("train_dp_sweep", "train_bc", "load_qtable", "load_model"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(bench, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, name, counted)
+    return calls

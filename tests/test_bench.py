@@ -3,6 +3,7 @@ import dataclasses
 import math
 import shutil
 
+import numpy as np
 import pytest
 
 from dyntarget import (
@@ -16,21 +17,31 @@ from dyntarget import (
     greedy_nadir,
     load_config,
     load_dp_table,
+    QLearnParams,
+    TrainParams,
+    bc_policy,
+    load_model,
+    load_qtable,
     measure_latency,
+    q_policy,
     run_benchmark,
+    run_episode,
+    save_dataset,
     train_bc,
     training_curve,
 )
 from dyntarget.bench import (
     CONFIG_KEYS,
     CSV_HEADER,
+    MODEL_FILE,
+    QTABLE_FILE,
     _demo_pool,
     curve_to_csv,
     prepare_training,
     train_learners,
 )
 from dyntarget.dp import models_digest
-from dyntarget.world import GenParams, generate_synthetic
+from dyntarget.world import UNKEYED, GenParams, generate_synthetic
 from dyntarget.errors import ConfigError, ParameterError
 
 TINY = dataclasses.replace(
@@ -302,6 +313,115 @@ def test_the_cloner_trains_under_the_configured_energy_model():
     expected = train_bc(demos, config.bc, energy=config.energy)
     assert [w.tobytes() for w in model.weights] == [w.tobytes() for w in expected.weights]
     assert [b.tobytes() for b in model.biases] == [b.tobytes() for b in expected.biases]
+
+
+# ---------------------------------------------------------------------------
+# learner files
+# ---------------------------------------------------------------------------
+
+LEARNERS = BenchConfig(
+    roster=("qlearn", "bc", "dp"),
+    datasets=dataclasses.replace(TINY, length=200, train_count=2, test_count=1),
+    qlearn=QLearnParams(sweeps=2),
+    bc=TrainParams(keep_prob=0.5, max_epochs=2, patience=2),
+)
+
+
+def episodes(config, policy):
+    strip = next(config.datasets.strips("test"))
+    log = run_episode(strip, config.geometry, config.energy, config.rewards, policy)
+    return log.steps, log.total_reward
+
+
+def test_saved_learners_equal_the_trained_ones_bit_for_bit(tmp_path):
+    prep = prepare_training(LEARNERS)
+    qtable, model = train_learners(prep, tmp_path)
+    saved_q = load_qtable(tmp_path / QTABLE_FILE)
+    saved_model = load_model(tmp_path / MODEL_FILE)
+    assert np.array_equal(saved_q.q, qtable.q)
+    assert saved_q.key == qtable.key != UNKEYED
+    assert saved_model.key == model.key
+    # same strips and models, other params
+    assert model.key[:2] == qtable.key[:2] and model.key[2] != qtable.key[2]
+    for got, want in zip(saved_model.weights + saved_model.biases, model.weights + model.biases):
+        assert np.array_equal(got, want)
+    assert episodes(LEARNERS, q_policy(saved_q)) == episodes(LEARNERS, q_policy(qtable))
+    for mode in ("stochastic", "threshold"):
+        got = episodes(LEARNERS, bc_policy(saved_model, mode=mode, seed=5))
+        assert got == episodes(LEARNERS, bc_policy(model, mode=mode, seed=5))
+
+
+def strip_files(tmp_path, seeds):
+    paths = []
+    for seed in seeds:
+        path = tmp_path / f"strip{seed}.dtg"
+        save_dataset(generate_synthetic(GenParams(length=200, seed=seed)), path)
+        paths.append(str(path))
+    return tuple(paths)
+
+
+BC_CHANGES = dict(keep_prob=0.4, loss="mse", learning_rate=2e-3, batch_size=32, max_epochs=3,
+                  patience=3, val_fraction=0.2, seed=1)
+Q_CHANGES = dict(alpha=0.5, gamma=0.9, epsilon=0.2, sweeps=3, seed=1)
+
+
+def test_every_learner_param_is_a_key_case():
+    assert list(BC_CHANGES) == [f.name for f in dataclasses.fields(TrainParams)]
+    assert list(Q_CHANGES) == [f.name for f in dataclasses.fields(QLearnParams)]
+
+
+def changed(**fields):
+    return lambda config, tmp_path: dataclasses.replace(config, **fields)
+
+
+def changed_data(**fields):
+    return lambda config, tmp_path: dataclasses.replace(
+        config, datasets=dataclasses.replace(config.datasets, **fields))
+
+
+def from_files(*train_seeds):
+    return lambda config, tmp_path: dataclasses.replace(config, datasets=dataclasses.replace(
+        config.datasets, train_paths=strip_files(tmp_path, train_seeds),
+        test_paths=strip_files(tmp_path, (5000,))))
+
+
+KEY_CASES = {
+    "train_seed0": (changed_data(train_seed0=200), (1, 1)),
+    "train_order": (from_files(101, 100), (1, 1)),
+    "rewards.high": (changed(rewards=RewardModel(reward_high=1000.0)), (1, 1)),
+    "energy": (changed(energy=EnergyModel(sample_discharge=9, recharge_per_step=2)), (1, 1)),
+    "geometry": (changed(geometry=SensorGeometry(radar_half_angle_deg=10.0)), (1, 1)),
+    **{f"bc.{k}": (changed(bc=dataclasses.replace(LEARNERS.bc, **{k: v})), (0, 1))
+       for k, v in BC_CHANGES.items()},
+    **{f"qlearn.{k}": (changed(qlearn=dataclasses.replace(LEARNERS.qlearn, **{k: v})), (1, 0))
+       for k, v in Q_CHANGES.items()},
+    "scenario": (changed(scenario="storm_hunting"), (0, 0)),
+    "seed": (changed(seed=9), (0, 0)),
+    "bc.mode": (changed(bc_mode="threshold"), (0, 0)),
+    "roster": (changed(roster=("bc", "random", "qlearn")), (0, 0)),
+    "test_strips": (changed_data(test_seed0=6000, test_count=2), (0, 0)),
+}
+
+
+@pytest.mark.parametrize("case", list(KEY_CASES))
+def test_learners_are_retrained_exactly_when_their_inputs_change(tmp_path, bench_calls, case):
+    change, expected = KEY_CASES[case]
+    base = from_files(100, 101)(LEARNERS, tmp_path) if case == "train_order" else LEARNERS
+
+    def trainings():
+        return bench_calls["train_dp_sweep"], bench_calls["train_bc"]
+
+    out = tmp_path / "out"
+    run_benchmark(base, outdir=out)
+    assert trainings() == (1, 1)
+    run_benchmark(base, outdir=out)
+    assert trainings() == (1, 1)
+    report = run_benchmark(change(base, tmp_path), outdir=out)
+    assert (trainings()[0] - 1, trainings()[1] - 1) == expected
+    fresh = run_benchmark(change(base, tmp_path), outdir=tmp_path / "fresh")
+    assert [dataclasses.replace(r, mean_decide_us=0.0) for r in report.rows] == [
+        dataclasses.replace(r, mean_decide_us=0.0) for r in fresh.rows
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,20 @@ import struct
 import numpy as np
 import pytest
 
-from dyntarget import bench, load_dataset, load_dp_table, load_model, load_qtable
+from dyntarget import (
+    QTable,
+    bench,
+    init_mlp,
+    load_dataset,
+    load_dp_table,
+    load_model,
+    load_qtable,
+    save_model,
+    save_qtable,
+)
 from dyntarget.bench import LatencyStats
 from dyntarget.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RESOURCE, main
-from dyntarget.world import HEADER, MAGIC
+from dyntarget.world import HEADER, MAGIC, UNKEYED
 
 TINY_CFG = """
 datasets.length = 400
@@ -171,6 +181,97 @@ def test_eval_never_opens_a_table_of_the_previous_format(tmp_path, cfg):
     assert main(["eval", "--config", cfg(extra), "--out", str(tmp_path / "out")]) == EXIT_OK
     rows = [line.split(",") for line in (tmp_path / "out" / "report.csv").read_text().splitlines()]
     assert [float(row[3]) for row in rows if row[0] == "dp"] == [100.0] * 3
+
+
+LEARNER_ROSTER = "roster = greedy_radar, qlearn, bc, dp\n"
+
+
+def stable_report(out):
+    """report.csv without its latency column, and report.md."""
+    lines = [line.rsplit(",", 1)[0] for line in (out / "report.csv").read_text().splitlines()]
+    return lines, (out / "report.md").read_bytes()
+
+
+def test_a_second_eval_reuses_both_learners(tmp_path, cfg, bench_calls, capsys):
+    out = tmp_path / "out"
+    assert main(["eval", "--config", cfg(LEARNER_ROSTER), "--out", str(out)]) == EXIT_OK
+    first = stable_report(out)
+    trained = capsys.readouterr().out
+    assert "swept q table" in trained and "cloned planner" in trained
+    assert main(["eval", "--config", cfg(LEARNER_ROSTER), "--out", str(out)]) == EXIT_OK
+    assert bench_calls == {"train_dp_sweep": 1, "train_bc": 1, "load_qtable": 1, "load_model": 1}
+    rerun = capsys.readouterr().out
+    assert f"reused {out / 'qtable.dtq'}" in rerun and f"reused {out / 'bc_model.dtm'}" in rerun
+    assert "swept q table" not in rerun and "cloned planner" not in rerun
+    assert rerun.count("wrote") == 2
+    assert stable_report(out) == first
+    fresh = tmp_path / "fresh"
+    assert main(["eval", "--config", cfg(LEARNER_ROSTER), "--out", str(fresh)]) == EXIT_OK
+    assert stable_report(fresh) == first
+
+
+def test_train_commands_save_what_eval_and_latency_reuse(tmp_path, cfg, bench_calls):
+    out = str(tmp_path / "out")
+    assert main(["train-bc", "--config", cfg(LEARNER_ROSTER), "--out", out]) == EXIT_OK
+    assert main(["train-q", "--config", cfg(LEARNER_ROSTER), "--out", out]) == EXIT_OK
+    assert main(["eval", "--config", cfg(LEARNER_ROSTER), "--out", out]) == EXIT_OK
+    assert main(["latency", "--config", cfg(LEARNER_ROSTER), "--steps", "20",
+                 "--out", out]) == EXIT_OK
+    assert (bench_calls["train_dp_sweep"], bench_calls["train_bc"]) == (1, 1)
+
+
+def previous_format_learners(out):
+    """DTQ1/DTM1 files, float32 payloads and no key, at the learner names;
+    their values, Sample always worth more, are wrong for any training."""
+    out.mkdir(parents=True)
+    q = np.tile(np.array([0.0, 1.0], dtype="<f4"), 6464)
+    (out / "qtable.dtq").write_bytes(struct.pack("<4sII", b"DTQ1", 6464, 2) + q.tobytes())
+    layers = b"".join(
+        struct.pack("<II", a, b) + np.ones(a * b + b, dtype="<f4").tobytes()
+        for a, b in zip((13, 32, 16, 8, 4), (32, 16, 8, 4, 1))
+    )
+    (out / "bc_model.dtm").write_bytes(struct.pack("<4sI", b"DTM1", 5) + layers)
+
+
+def other_key_learners(out):
+    """DTQ2/DTM2 files that name no inputs, with the same wrong values."""
+    out.mkdir(parents=True)
+    table = QTable()
+    table.q[:, 1] = 1.0
+    save_qtable(table, out / "qtable.dtq")
+    model = init_mlp(seed=3)
+    for w in model.weights + model.biases:
+        w[...] = 1.0
+    save_model(model, out / "bc_model.dtm")
+
+
+@pytest.mark.parametrize("stale", [previous_format_learners, other_key_learners],
+                         ids=["previous_format", "other_key"])
+def test_eval_retrains_over_a_stale_learner_file(tmp_path, cfg, bench_calls, stale):
+    out = tmp_path / "out"
+    stale(out)
+    assert main(["eval", "--config", cfg(LEARNER_ROSTER), "--out", str(out)]) == EXIT_OK
+    # a file of the previous format is never parsed
+    loads = 0 if stale is previous_format_learners else 1
+    assert bench_calls == {"train_dp_sweep": 1, "train_bc": 1,
+                           "load_qtable": loads, "load_model": loads}
+    assert (out / "qtable.dtq").read_bytes()[:4] == b"DTQ2"
+    assert load_qtable(out / "qtable.dtq").key != UNKEYED
+    assert load_model(out / "bc_model.dtm").key != UNKEYED
+    fresh = tmp_path / "fresh"
+    assert main(["eval", "--config", cfg(LEARNER_ROSTER), "--out", str(fresh)]) == EXIT_OK
+    assert stable_report(out) == stable_report(fresh)
+
+
+@pytest.mark.parametrize("name", ["qtable.dtq", "bc_model.dtm"])
+def test_a_corrupt_learner_file_is_a_data_error(tmp_path, cfg, capsys, name):
+    out = tmp_path / "out"
+    assert main(["eval", "--config", cfg(LEARNER_ROSTER), "--out", str(out)]) == EXIT_OK
+    good = (out / name).read_bytes()
+    (out / name).write_bytes(good[:-8])
+    code = main(["eval", "--config", cfg(LEARNER_ROSTER), "--out", str(out)])
+    assert code == EXIT_DATA
+    assert f"payload (byte offset {len(good) - 8})" in capsys.readouterr().err
 
 
 def test_eval_seed_override_moves_the_random_policy(tmp_path, cfg):

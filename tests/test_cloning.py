@@ -1,5 +1,6 @@
 """Imitation learner: features, demo handling, network, training loop."""
 import dataclasses
+import hashlib
 import struct
 
 import numpy as np
@@ -37,6 +38,7 @@ from dyntarget.cloning import (
     _EPS,
     DemoSet,
     LAYER_SIZES,
+    MODEL_HEADER,
     MODEL_MAGIC,
     N_FEATURES,
     _sigmoid,
@@ -44,6 +46,7 @@ from dyntarget.cloning import (
 )
 from dyntarget.sim import SOC_MAX, SatState
 from dyntarget.errors import ConsistencyError, FormatError, ParameterError
+from dyntarget.world import UNKEYED
 
 ENERGY = EnergyModel()
 REWARDS = RewardModel()
@@ -808,11 +811,32 @@ def test_model_round_trip(tmp_path):
     save_model(model, path, manifest={"seed": 13})
     back = load_model(path)
     assert back.layer_sizes == model.layer_sizes
-    for w, orig in zip(back.weights, model.weights):
-        assert np.array_equal(w, orig.astype(np.float32).astype(np.float64))
+    for got, orig in zip(back.weights + back.biases, model.weights + model.biases):
+        assert got.dtype == np.float64
+        assert np.array_equal(got, orig)
     assert (tmp_path / "m.dtm.manifest").read_text() == "seed=13\n"
     save_model(back, tmp_path / "m2.dtm")
     assert (tmp_path / "m2.dtm").read_bytes() == path.read_bytes()
+
+
+def test_model_header_round_trips_its_key(tmp_path):
+    model = init_mlp(seed=1)
+    assert model.key == UNKEYED
+    model.key = tuple(hashlib.sha256(part).hexdigest() for part in (b"strips", b"models", b"bc"))
+    path = tmp_path / "m.dtm"
+    save_model(model, path)
+    assert load_model(path).key == model.key
+    assert path.read_bytes()[8:MODEL_HEADER.size] == b"".join(map(bytes.fromhex, model.key))
+
+
+def test_loaded_model_is_one_flat_parameter_vector(tmp_path):
+    # the form train_bc returns: layer views into one fresh float64 vector
+    save_model(init_mlp(seed=2), tmp_path / "m.dtm")
+    back = load_model(tmp_path / "m.dtm")
+    flat = back.weights[0].base
+    assert flat is not None and flat.ndim == 1 and flat.size == back.n_params
+    assert flat.flags.owndata and flat.flags.writeable
+    assert all(a.base is flat for a in back.weights + back.biases)
 
 
 def test_model_format_errors(tmp_path):
@@ -820,6 +844,7 @@ def test_model_format_errors(tmp_path):
     save_model(init_mlp(seed=0), path)
     good = path.read_bytes()
     bad = tmp_path / "bad.dtm"
+    key = bytes(96)
 
     bad.write_bytes(b"XXXX" + good[4:])
     with pytest.raises(FormatError) as err:
@@ -831,20 +856,20 @@ def test_model_format_errors(tmp_path):
         load_model(bad)
     assert err.value.offset == 6
 
-    bad.write_bytes(MODEL_MAGIC + struct.pack("<I", 0))
+    bad.write_bytes(MODEL_MAGIC + struct.pack("<I", 0) + key)
     with pytest.raises(FormatError) as err:
         load_model(bad)
     assert err.value.offset == 4
 
-    bad.write_bytes(good[:10])
+    bad.write_bytes(good[:MODEL_HEADER.size + 2])
     with pytest.raises(FormatError) as err:
         load_model(bad)
-    assert err.value.offset == 10
+    assert err.value.offset == MODEL_HEADER.size + 2
 
-    bad.write_bytes(MODEL_MAGIC + struct.pack("<I", 1) + struct.pack("<II", 0, 4))
+    bad.write_bytes(MODEL_MAGIC + struct.pack("<I", 1) + key + struct.pack("<II", 0, 4))
     with pytest.raises(FormatError) as err:
         load_model(bad)
-    assert err.value.offset == 8
+    assert err.value.offset == MODEL_HEADER.size
 
     bad.write_bytes(good[:-2])
     with pytest.raises(FormatError) as err:
@@ -858,13 +883,13 @@ def test_model_format_errors(tmp_path):
 
 
 def test_model_layers_must_chain(tmp_path):
-    blob = MODEL_MAGIC + struct.pack("<I", 2)
+    blob = MODEL_MAGIC + struct.pack("<I", 2) + bytes(96)
     blob += struct.pack("<II", 3, 4)
-    blob += np.zeros(12, dtype="<f4").tobytes() + np.zeros(4, dtype="<f4").tobytes()
+    blob += np.zeros(12, dtype="<f8").tobytes() + np.zeros(4, dtype="<f8").tobytes()
     blob += struct.pack("<II", 5, 2)
-    blob += np.zeros(10, dtype="<f4").tobytes() + np.zeros(2, dtype="<f4").tobytes()
+    blob += np.zeros(10, dtype="<f8").tobytes() + np.zeros(2, dtype="<f8").tobytes()
     path = tmp_path / "chain.dtm"
     path.write_bytes(blob)
     with pytest.raises(FormatError) as err:
         load_model(path)
-    assert err.value.offset == 8
+    assert err.value.offset == MODEL_HEADER.size

@@ -1,4 +1,5 @@
 """Tabular learner: state codec, TD update, both trainers, greedy policy."""
+import hashlib
 import struct
 
 import numpy as np
@@ -28,9 +29,10 @@ from dyntarget import (
     train_dp_sweep,
     train_epsilon_greedy,
 )
-from dyntarget.qlearn import N_Q_STATES, Q_MAGIC, _sweep
+from dyntarget.qlearn import N_Q_STATES, Q_HEADER, Q_MAGIC, _sweep
 from dyntarget.sim import SatState, strip_index
 from dyntarget.errors import FormatError, ParameterError
+from dyntarget.world import UNKEYED
 
 ENERGY = EnergyModel()
 REWARDS = RewardModel()
@@ -368,17 +370,28 @@ def test_qtable_round_trip(tmp_path, geom_small):
     path = tmp_path / "q.dtq"
     save_qtable(table, path)
     back = load_qtable(path)
-    assert np.array_equal(back.q, table.q.astype(np.float32).astype(np.float64))
+    assert back.q.dtype == np.float64
+    assert np.array_equal(back.q, table.q)
     assert not back.visits.any()  # counts are training state, not payload
     save_qtable(back, tmp_path / "q2.dtq")
     assert (tmp_path / "q2.dtq").read_bytes() == path.read_bytes()
+
+
+def test_qtable_header_round_trips_its_key(tmp_path):
+    table = QTable()
+    assert table.key == UNKEYED
+    table.key = tuple(hashlib.sha256(part).hexdigest() for part in (b"strips", b"models", b"q"))
+    path = tmp_path / "q.dtq"
+    save_qtable(table, path)
+    assert load_qtable(path).key == table.key
+    assert path.read_bytes()[12:Q_HEADER.size] == b"".join(map(bytes.fromhex, table.key))
 
 
 def test_qtable_format_errors(tmp_path):
     path = tmp_path / "q.dtq"
     save_qtable(QTable(), path)
     good = path.read_bytes()
-    assert len(good) == 12 + N_Q_STATES * 2 * 4
+    assert len(good) == Q_HEADER.size + N_Q_STATES * 2 * 8
 
     bad = tmp_path / "bad.dtq"
     bad.write_bytes(b"NOPE" + good[4:])
@@ -391,10 +404,10 @@ def test_qtable_format_errors(tmp_path):
         load_qtable(bad)
     assert err.value.offset == 4
 
-    bad.write_bytes(good[:100])
+    bad.write_bytes(good[:200])
     with pytest.raises(FormatError) as err:
         load_qtable(bad)
-    assert err.value.offset == 100
+    assert err.value.offset == 200
 
     bad.write_bytes(good + b"\x01\x02")
     with pytest.raises(FormatError) as err:
