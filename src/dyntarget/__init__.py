@@ -58,10 +58,8 @@ from .qlearn import (
     q_policy,
     q_state_from_index,
     q_state_index,
-    q_update,
     save_qtable,
     train_dp_sweep,
-    train_epsilon_greedy,
 )
 from .cloning import (
     DemoSet,

@@ -1,11 +1,11 @@
 """End-to-end benchmark: data, training, evaluation, reports.
 
-A benchmark run resolves its train and test strips (generated or loaded,
-always disjoint), plans each test strip exactly once with the DP
-builder, trains the two learners on the training strips, then scores
-every rostered policy on every test strip as a percentage of the DP
-value.  Reports are written as CSV and markdown with stable ordering and
-float formatting, so identical configs produce byte-identical files
+A benchmark run trains the two learners on the training strips, then
+walks the test strips (generated or loaded, always disjoint from the
+training strips) one at a time: it plans each exactly once with the DP
+builder and scores every rostered policy on it as a percentage of the
+DP value.  Reports are written as CSV and markdown with stable ordering
+and float formatting, so identical configs produce byte-identical files
 apart from measured latency.
 """
 from __future__ import annotations
@@ -212,9 +212,7 @@ _KEY_ALIASES = {
     "rewards.mid": "rewards.reward_mid",
     "rewards.high": "rewards.reward_high",
 }
-# qlearn.epsilon and qlearn.seed only steer train_epsilon_greedy, which no
-# command runs
-_HIDDEN_FIELDS = ("rewards.reward_off", "rewards.scenario", "qlearn.epsilon", "qlearn.seed")
+_HIDDEN_FIELDS = ("rewards.reward_off", "rewards.scenario")
 
 
 def _field_types(cls) -> Dict[str, object]:
@@ -325,37 +323,11 @@ def _dp_for(
     return table
 
 
-@dataclass
-class PreparedBench:
-    config: BenchConfig
-    train_strips: List[EnvStrip]
-    test_strips: List[EnvStrip]
-    test_tables: List[DPTable]
-
-
-def prepare_training(config: BenchConfig) -> PreparedBench:
-    """The training strips; no test strips."""
-    return PreparedBench(config, list(config.datasets.strips("train")), [], [])
-
-
-def prepare_bench(config: BenchConfig, outdir=None, progress: bool = False) -> PreparedBench:
-    """``prepare_training`` plus every test strip and its planner table."""
-    prep = prepare_training(config)
-    prep.test_strips = list(config.datasets.strips("test"))
-    if progress:
-        print(f"resolved {len(prep.train_strips)} train / {len(prep.test_strips)} test strips")
-    cache_dir = _cache_dir(outdir)
-    for i, strip in enumerate(prep.test_strips):
-        prep.test_tables.append(_dp_for(strip, config, cache_dir))
-        if progress:
-            print(f"planned test strip {i}")
-    return prep
-
-
-def _demo_pool(prep: PreparedBench, cache_dir: Optional[Path] = None) -> DemoSet:
+def _demo_pool(
+    config: BenchConfig, strips: Sequence[EnvStrip], cache_dir: Optional[Path] = None
+) -> DemoSet:
     """Planner demonstrations from every training strip, unbalanced; each
     strip is planned, or its table read from ``cache_dir``, in turn."""
-    config = prep.config
     parts = [
         collect_demonstrations(
             _dp_for(strip, config, cache_dir),
@@ -364,7 +336,7 @@ def _demo_pool(prep: PreparedBench, cache_dir: Optional[Path] = None) -> DemoSet
             seed=config.bc.seed + i,
             geom=config.geometry,
         )
-        for i, strip in enumerate(prep.train_strips)
+        for i, strip in enumerate(strips)
     ]
     return merge_demos(parts)
 
@@ -380,13 +352,12 @@ QTABLE_FILE = "qtable.dtq"
 MODEL_FILE = "bc_model.dtm"
 
 
-def _learner_key(prep: PreparedBench, params) -> Tuple[str, str, str]:
-    """The key of a learner trained on ``prep``'s training strips with
-    ``params``: the three digests ``world.UNKEYED`` describes."""
-    config = prep.config
-    strips = b"".join(bytes.fromhex(strip.digest()) for strip in prep.train_strips)
+def _learner_key(config: BenchConfig, strips: Sequence[EnvStrip], params) -> Tuple[str, str, str]:
+    """The key of a learner trained on ``strips`` with ``params``: the
+    three digests ``world.UNKEYED`` describes."""
+    digests = b"".join(bytes.fromhex(strip.digest()) for strip in strips)
     return (
-        hashlib.sha256(strips).hexdigest(),
+        hashlib.sha256(digests).hexdigest(),
         models_digest(config.geometry, config.energy, config.rewards),
         hashlib.sha256(repr(params).encode()).hexdigest(),
     )
@@ -424,32 +395,34 @@ def _save(learner, key, path: Optional[Path], save, manifest: dict) -> None:
         save(learner, path, manifest)
 
 
-def train_learners(prep: PreparedBench, outdir=None, progress: bool = False):
-    """Train whatever the roster needs; returns (qtable, bc model).
+def train_learners(
+    config: BenchConfig, strips: Sequence[EnvStrip], outdir=None, progress: bool = False
+):
+    """Train whatever the roster needs on the training ``strips``; returns
+    (qtable, bc model).
 
     With an ``outdir``, a learner saved there by a run on the same
     training strips, models and learner params is reused instead, and a
     trained one is saved there.
     """
-    config = prep.config
     qtable = None
     model = None
     if "qlearn" in config.roster:
         q = config.qlearn
-        path, key = _learner_path(outdir, QTABLE_FILE), _learner_key(prep, q)
+        path, key = _learner_path(outdir, QTABLE_FILE), _learner_key(config, strips, q)
         qtable = _saved(path, Q_MAGIC, load_qtable, key, progress)
         if qtable is None:
-            qtable = _sweep(prep.train_strips, config)
+            qtable = _sweep(strips, config)
             if progress:
-                print(f"swept q table over {len(prep.train_strips)} strips")
+                print(f"swept q table over {len(strips)} strips")
             manifest = {"alpha": q.alpha, "gamma": q.gamma, "sweeps": q.sweeps}
             _save(qtable, key, path, save_qtable, manifest)
     if "bc" in config.roster:
         bc = config.bc
-        path, key = _learner_path(outdir, MODEL_FILE), _learner_key(prep, bc)
+        path, key = _learner_path(outdir, MODEL_FILE), _learner_key(config, strips, bc)
         model = _saved(path, MODEL_MAGIC, load_model, key, progress)
         if model is None:
-            demos = balance_dataset(_demo_pool(prep, _cache_dir(outdir)), seed=bc.seed)
+            demos = balance_dataset(_demo_pool(config, strips, _cache_dir(outdir)), seed=bc.seed)
             model = train_bc(demos, bc, energy=config.energy)
             if progress:
                 print(f"cloned planner from {len(demos)} balanced demos")
@@ -475,6 +448,18 @@ def _build_policy(name: str, config: BenchConfig, qtable, model) -> Optional[Pol
     if name == "bc":
         return bc_policy(model, mode=config.bc_mode, seed=config.seed + 29, energy=config.energy)
     return None  # dp is built per strip
+
+
+def prepare_bench(
+    config: BenchConfig, outdir=None, progress: bool = False
+) -> List[Tuple[str, Optional[Policy]]]:
+    """Each roster name with its policy, in roster order, the learners
+    trained by ``train_learners`` on the training strips; ``dp`` maps to
+    None, because the planner is built per test strip."""
+    qtable, model = train_learners(
+        config, list(config.datasets.strips("train")), outdir, progress=progress
+    )
+    return [(name, _build_policy(name, config, qtable, model)) for name in config.roster]
 
 
 # ---------------------------------------------------------------------------
@@ -565,33 +550,38 @@ def _pct_of_dp(total: float, dp_value: float) -> float:
     return 100.0 if total == 0 else math.copysign(math.inf, total)
 
 
-def _score(prep: PreparedBench, policy: Optional[Policy]) -> List[Tuple[EpisodeLog, float]]:
-    """(episode, percent of DP) on each test strip; no policy means the
-    planner's own readout."""
-    config = prep.config
-    scored = []
-    for strip, table in zip(prep.test_strips, prep.test_tables):
-        run = policy if policy is not None else dp_policy(table, strip)
-        log = run_episode(
-            strip, config.geometry, config.energy, config.rewards, run, soc0=config.soc0
-        )
-        scored.append((log, _pct_of_dp(log.total_reward, table.root_value(config.soc0))))
-    return scored
+def _episode(
+    config: BenchConfig, strip: EnvStrip, policy: Policy, dp_value: float
+) -> Tuple[EpisodeLog, float]:
+    """``policy``'s episode on ``strip`` and its total as a percentage of
+    the planner's value ``dp_value``."""
+    log = run_episode(
+        strip, config.geometry, config.energy, config.rewards, policy, soc0=config.soc0
+    )
+    return log, _pct_of_dp(log.total_reward, dp_value)
 
 
 def run_benchmark(config: BenchConfig, outdir=None, progress: bool = False) -> BenchReport:
-    """Score the whole roster on every test strip."""
-    prep = prepare_bench(config, outdir=outdir, progress=progress)
-    qtable, model = train_learners(prep, outdir, progress=progress)
-    labels = tuple(f"test{i:02d}" for i in range(len(prep.test_strips)))
-    rows: List[ReportRow] = []
-    for name in config.roster:
-        policy = _build_policy(name, config, qtable, model)
-        for label, (log, pct) in zip(labels, _score(prep, policy)):
-            rows.append(
+    """Score the whole roster on every test strip.
+
+    The test strips are walked one at a time: each is planned, or its
+    table read from the cache, every policy is scored on it, and strip
+    and table are dropped before the next, so at most one test table is
+    alive.  Every episode resets its policy first, so this order changes
+    no episode; the rows are listed policy by policy.
+    """
+    policies = prepare_bench(config, outdir, progress=progress)
+    cache_dir = _cache_dir(outdir)
+    rows: Dict[str, List[ReportRow]] = {name: [] for name in config.roster}
+    for i, strip in enumerate(config.datasets.strips("test")):
+        table = _dp_for(strip, config, cache_dir)
+        dp_value = table.root_value(config.soc0)
+        for name, policy in policies:
+            log, pct = _episode(config, strip, policy or dp_policy(table, strip), dp_value)
+            rows[name].append(
                 ReportRow(
                     policy=name,
-                    dataset=label,
+                    dataset=f"test{i:02d}",
                     total_reward=log.total_reward,
                     pct_of_dp=pct,
                     frac_off=log.off_fraction,
@@ -602,10 +592,12 @@ def run_benchmark(config: BenchConfig, outdir=None, progress: bool = False) -> B
                     mean_decide_us=log.mean_decide_us,
                 )
             )
-        if progress:
-            mean = _mean([r.pct_of_dp for r in rows[-len(labels):]])
-            print(f"{name}: mean {mean:.2f}% of dp")
-    return BenchReport(scenario=config.scenario, rows=rows, roster=config.roster)
+        del strip, table
+    if progress:
+        for name in config.roster:
+            print(f"{name}: mean {_mean([r.pct_of_dp for r in rows[name]]):.2f}% of dp")
+    ordered = [row for name in config.roster for row in rows[name]]
+    return BenchReport(scenario=config.scenario, rows=ordered, roster=config.roster)
 
 
 def emit_report(report: BenchReport, outdir) -> List[Path]:
@@ -673,26 +665,30 @@ def training_curve(
     sees a seeded random subset of one demonstration pool collected at
     the configured rate, so smaller fractions are nested inside larger
     ones.  A fraction of exactly 1.0 reuses the pool untouched and so
-    matches a plain benchmark run.  Test strips and their value tables
-    stay fixed across fractions.
+    matches a plain benchmark run.  The test strips stay fixed across
+    fractions; only their planner values are kept, not their tables.
     """
     fractions = [float(f) for f in fractions]
     for f in fractions:
         if not (0.0 < f <= 1.0):
             raise ParameterError(f"fractions must lie in (0, 1]: {f}")
-    prep = prepare_bench(config, outdir=outdir, progress=progress)
-    config = prep.config
+    train = list(config.datasets.strips("train"))
+    cache_dir = _cache_dir(outdir)
+    tests = [
+        (strip, _dp_for(strip, config, cache_dir).root_value(config.soc0))
+        for strip in config.datasets.strips("test")
+    ]
     pool = None
     pool_order = None
     if "bc" in config.roster:
-        pool = _demo_pool(prep, _cache_dir(outdir))
+        pool = _demo_pool(config, train, cache_dir)
         pool_order = np.random.default_rng(config.bc.seed).permutation(len(pool))
     points: List[CurvePoint] = []
     for f in fractions:
         if "qlearn" in config.roster:
-            prefixes = [_prefix_strip(s, f) for s in prep.train_strips]
+            prefixes = [_prefix_strip(s, f) for s in train]
             policy = _build_policy("qlearn", config, _sweep(prefixes, config), None)
-            points.append(_curve_point("qlearn", f, policy, prep))
+            points.append(_curve_point("qlearn", f, policy, config, tests))
         if "bc" in config.roster:
             if f >= 1.0:
                 sub = pool
@@ -701,15 +697,17 @@ def training_curve(
                 sub = take_demos(pool, pool_order[:n_f])
             demos = balance_dataset(sub, seed=config.bc.seed)
             model = train_bc(demos, config.bc, energy=config.energy)
-            points.append(_curve_point("bc", f, _build_policy("bc", config, None, model), prep))
+            bc = _build_policy("bc", config, None, model)
+            points.append(_curve_point("bc", f, bc, config, tests))
         if progress:
             got = [p for p in points if abs(p.fraction - f) < 1e-12]
             print(f"fraction {f}: " + ", ".join(f"{p.learner} {p.mean_pct:.2f}%" for p in got))
     return points
 
 
-def _curve_point(learner, fraction, policy, prep: PreparedBench) -> CurvePoint:
-    pcts = [pct for _, pct in _score(prep, policy)]
+def _curve_point(learner, fraction, policy, config: BenchConfig, tests) -> CurvePoint:
+    """``policy`` scored on ``tests``, (strip, planner value) pairs."""
+    pcts = [_episode(config, strip, policy, dp_value)[1] for strip, dp_value in tests]
     return CurvePoint(
         learner=learner,
         fraction=fraction,

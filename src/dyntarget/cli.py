@@ -22,11 +22,10 @@ from .bench import (
     emit_report,
     load_config,
     measure_latency,
-    prepare_training,
+    prepare_bench,
     run_benchmark,
     train_learners,
     training_curve,
-    _build_policy,
     _csv_line,
     _field_types,
 )
@@ -99,15 +98,16 @@ def _cmd_dp(args) -> int:
 
 def _cmd_train_q(args) -> int:
     config = dataclasses.replace(_load_base_config(args), roster=("qlearn",))
-    prep = prepare_training(config)
-    train_learners(prep, args.out)
-    print(f"{Path(args.out) / QTABLE_FILE}  trained on {len(prep.train_strips)} strips")
+    strips = list(config.datasets.strips("train"))
+    train_learners(config, strips, args.out)
+    print(f"{Path(args.out) / QTABLE_FILE}  trained on {len(strips)} strips")
     return EXIT_OK
 
 
 def _cmd_train_bc(args) -> int:
     config = dataclasses.replace(_load_base_config(args), roster=("bc",))
-    _, model = train_learners(prepare_training(config), args.out, progress=True)
+    strips = list(config.datasets.strips("train"))
+    _, model = train_learners(config, strips, args.out, progress=True)
     print(f"{Path(args.out) / MODEL_FILE}  layers {'x'.join(str(s) for s in model.layer_sizes)}")
     return EXIT_OK
 
@@ -135,14 +135,13 @@ def _cmd_curve(args) -> int:
 
 def _cmd_latency(args) -> int:
     config = _load_base_config(args)
-    qtable, model = train_learners(prepare_training(config), args.out)
+    policies = prepare_bench(config, args.out)
     strip = next(config.datasets.strips("test"))
     kinds = _field_types(LatencyStats)
     print(",".join(["policy", *kinds]))
-    for name in config.roster:
-        if name == "dp":
+    for name, policy in policies:
+        if policy is None:
             continue  # planner lookups are not a flight-software path here
-        policy = _build_policy(name, config, qtable, model)
         stats = measure_latency(
             policy, strip, args.steps, geom=config.geometry, energy=config.energy,
             soc0=config.soc0,

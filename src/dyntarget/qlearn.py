@@ -5,11 +5,9 @@ for the instrument footprint and one per class for the lookahead window.
 That is 101 * 2^6 = 6464 rows of two actions, small enough to sweep
 exhaustively.
 
-Two trainers are provided.  The epsilon-greedy one runs ordinary forward
-episodes and is kept as a baseline; it explores the charge/visibility
-space far too slowly to be practical.  The sweep trainer instead walks
-the horizon backward and updates every (timestep, charge, action) cell
-each pass, which reaches the planner's quality in a handful of sweeps.
+The trainer walks the horizon backward and updates every (timestep,
+charge, action) cell each pass, which reaches the planner's quality in
+a handful of sweeps.
 """
 from __future__ import annotations
 
@@ -30,7 +28,6 @@ from .sim import (
     SensorGeometry,
     SOC_MAX,
     charge_rule,
-    run_as,
     strip_index,
 )
 from .world import UNKEYED, EnvStrip, RewardModel, check_size, read_checked, write_file
@@ -45,22 +42,17 @@ Q_HEADER = struct.Struct("<4sII32s32s32s")
 
 @dataclass(frozen=True)
 class QLearnParams:
-    """Update hyperparameters; ``epsilon`` only matters to the
-    epsilon-greedy trainer, ``sweeps`` only to the sweep trainer."""
+    """Sweep trainer hyperparameters."""
 
     alpha: float = 0.4
     gamma: float = 0.99
-    epsilon: float = 0.1
     sweeps: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ParameterError(f"alpha out of (0, 1]: {self.alpha}")
         if not (0.0 <= self.gamma <= 1.0):
             raise ParameterError(f"gamma out of [0, 1]: {self.gamma}")
-        if not (0.0 <= self.epsilon <= 1.0):
-            raise ParameterError(f"epsilon out of [0, 1]: {self.epsilon}")
         if self.sweeps < 0:
             raise ParameterError(f"sweeps must be >= 0, got {self.sweeps}")
 
@@ -111,26 +103,6 @@ class QTable:
         self.q = np.zeros((N_Q_STATES, 2), dtype=np.float64)
         self.visits = np.zeros((N_Q_STATES, 2), dtype=np.int64)
         self.key = UNKEYED
-
-
-def q_update(
-    table: QTable,
-    s: int,
-    a: Action,
-    reward: float,
-    s_next: Optional[int],
-    params: QLearnParams,
-) -> None:
-    """One temporal-difference backup; ``s_next`` None means terminal."""
-    if not (0 <= s < N_Q_STATES):
-        raise ParameterError(f"state index out of [0, {N_Q_STATES}): {s}")
-    follow = 0.0
-    if s_next is not None:
-        if not (0 <= s_next < N_Q_STATES):
-            raise ParameterError(f"state index out of [0, {N_Q_STATES}): {s_next}")
-        follow = max(table.q[s_next, 0], table.q[s_next, 1])
-    table.q[s, a] += params.alpha * (reward + params.gamma * follow - table.q[s, a])
-    table.visits[s, a] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -218,48 +190,6 @@ def train_dp_sweep(
         for flags, r_sample in prepared:
             _sweep(table.q, table.visits, flags, r_sample, params.alpha, params.gamma,
                    energy.sample_discharge, energy.recharge_per_step)
-    return table
-
-
-def train_epsilon_greedy(
-    strip: EnvStrip,
-    params: QLearnParams = QLearnParams(),
-    episodes: int = 10,
-    geom: SensorGeometry = SensorGeometry(),
-    energy: EnergyModel = EnergyModel(),
-    rewards: RewardModel = RewardModel(),
-    soc0: int = SOC_MAX,
-) -> QTable:
-    """Forward-episode trainer, one strip, epsilon-greedy exploration.
-
-    Per step it draws one uniform ``p``; when ``p <= epsilon`` a second
-    draw picks Off or Sample with equal odds, otherwise the greedy
-    action is taken.  Either way an unaffordable Sample is executed as
-    Off.  Kept as the baseline the sweep trainer is measured against.
-    """
-    if episodes < 0:
-        raise ParameterError(f"episodes must be >= 0, got {episodes}")
-    table = QTable()
-    idx = strip_index(strip, geom)
-    flags = idx.qflag.astype(np.int64)
-    r_sample = rewards.values()[idx.radar_best]
-    horizon = strip.length
-    rule = charge_rule(energy).tolist()
-    rng = np.random.default_rng(params.seed)
-    q = table.q
-    for _ in range(episodes):
-        soc = soc0
-        for t0 in range(horizon):
-            s = soc * N_FLAG_COMBOS + flags[t0]
-            if rng.random() <= params.epsilon:
-                action = Action.OFF if rng.random() < 0.5 else Action.SAMPLE
-            else:
-                action = Action.SAMPLE if q[s, 1] > q[s, 0] else Action.OFF
-            action, nsoc = run_as(rule, soc, action)
-            reward = float(r_sample[t0]) if action == Action.SAMPLE else 0.0
-            s_next = None if t0 == horizon - 1 else int(nsoc * N_FLAG_COMBOS + flags[t0 + 1])
-            q_update(table, int(s), action, reward, s_next, params)
-            soc = nsoc
     return table
 
 

@@ -249,7 +249,6 @@ class StripIndex:
         self.radar_count = radar_cnt
         self.footprint_size = fp_size
         self.radar_presence = radar_cnt > 0
-        self.radar_fraction = radar_cnt / fp_size
         self.radar_best = np.where(
             self.radar_presence[2], 2, np.where(self.radar_presence[1], 1, 0)
         ).astype(np.uint8)
@@ -267,12 +266,8 @@ class StripIndex:
         self.win_lo = np.minimum(idx + 1, t)
         self.win_hi1 = np.minimum(idx + look + 1, t)
         self.win_cols = self.win_hi1 - self.win_lo
-        look_cnt = ccum[:, self.win_hi1] - ccum[:, self.win_lo]
-        self.look_presence = look_cnt > 0
-        win_cells = (self.win_cols * h).astype(np.float64)
-        self.look_fraction = np.divide(
-            look_cnt, win_cells, out=np.zeros((N_CLASSES, t)), where=win_cells > 0
-        )
+        self.look_count = ccum[:, self.win_hi1] - ccum[:, self.win_lo]
+        self.look_presence = self.look_count > 0
 
         bits = self.radar_presence.astype(np.uint8)
         lbits = self.look_presence.astype(np.uint8)
@@ -300,8 +295,13 @@ class StripIndex:
             # allocated before bc_extras' temporaries, so that the kept
             # block does not end up above them on the heap (about 0.4 MB
             # of peak RSS on the ladder benchmark)
-            block = np.zeros((len(self.win_lo), 1 + 4 * N_CLASSES))
-            parts = (self.radar_fraction, self.look_fraction) + self.bc_extras()
+            t = len(self.win_lo)
+            block = np.zeros((t, 1 + 4 * N_CLASSES))
+            win_cells = (self.win_cols * self._cells.shape[0]).astype(np.float64)
+            look = np.divide(
+                self.look_count, win_cells, out=np.zeros((N_CLASSES, t)), where=win_cells > 0
+            )
+            parts = (self.radar_count / self.footprint_size, look) + self.bc_extras()
             for k, part in enumerate(parts):
                 block[:, 1 + N_CLASSES * k: 1 + N_CLASSES * (k + 1)] = part.T
             block.flags.writeable = False

@@ -45,7 +45,7 @@ from dyntarget import (
     train_dp_sweep,
     training_curve,
 )
-from dyntarget.bench import prepare_bench, train_learners
+from dyntarget.bench import train_learners
 from dyntarget.cli import main
 from dyntarget.qlearn import N_Q_STATES
 from dyntarget.world import GenParams
@@ -230,10 +230,9 @@ def test_cloned_policy_agrees_with_the_expert(capsys):
         roster=("bc",),
         datasets=dataclasses.replace(DatasetSpec(), length=3000, test_count=2),
     )
-    prep = prepare_bench(config)
-    _, model = train_learners(prep)
+    _, model = train_learners(config, list(config.datasets.strips("train")))
     scores = []
-    for strip in prep.test_strips:
+    for strip in config.datasets.strips("test"):
         table = build_dp_table(strip, config.geometry, config.energy, config.rewards)
         demos = collect_demonstrations(table, strip, keep_prob=0.1, seed=1,
                                        geom=config.geometry)

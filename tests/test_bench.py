@@ -1,7 +1,9 @@
 """Harness: config parsing, report plumbing, small end-to-end runs."""
 import dataclasses
+import gc
 import math
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,10 @@ import pytest
 from dyntarget import (
     BenchConfig,
     DatasetSpec,
+    RewardClass,
     balance_dataset,
+    build_dp_table,
+    dp_policy,
     EnergyModel,
     RewardModel,
     SensorGeometry,
@@ -30,14 +35,16 @@ from dyntarget import (
     train_bc,
     training_curve,
 )
+from dyntarget import bench
 from dyntarget.bench import (
     CONFIG_KEYS,
     CSV_HEADER,
     MODEL_FILE,
     QTABLE_FILE,
+    ReportRow,
+    _build_policy,
     _demo_pool,
     curve_to_csv,
-    prepare_training,
     train_learners,
 )
 from dyntarget.dp import models_digest
@@ -269,6 +276,62 @@ def test_benchmark_caches_planner_tables(tmp_path):
     assert sorted(p.name for p in (tmp_path / "dp_cache").iterdir()) == cached
 
 
+def test_strip_major_scoring_matches_a_policy_major_loop():
+    # every episode resets its policy, so scoring strip by strip gives the
+    # rows a policy-by-policy loop over shared policy objects gives
+    config = BenchConfig(
+        roster=("random", "bc", "dp"),
+        datasets=dataclasses.replace(TINY, test_count=3),
+        bc=dataclasses.replace(BenchConfig().bc, max_epochs=3),
+    )
+    assert config.bc_mode == "stochastic"
+    report = run_benchmark(config)
+    _, model = train_learners(config, list(config.datasets.strips("train")))
+    strips = list(config.datasets.strips("test"))
+    tables = [build_dp_table(s, config.geometry, config.energy, config.rewards) for s in strips]
+    expected = []
+    for name in config.roster:
+        policy = _build_policy(name, config, None, model)
+        for i, (strip, table) in enumerate(zip(strips, tables)):
+            log = run_episode(strip, config.geometry, config.energy, config.rewards,
+                              policy or dp_policy(table, strip), soc0=config.soc0)
+            expected.append(ReportRow(
+                policy=name,
+                dataset=f"test{i:02d}",
+                total_reward=log.total_reward,
+                pct_of_dp=100.0 * log.total_reward / table.root_value(config.soc0),
+                frac_off=log.off_fraction,
+                frac_low=log.class_fraction(RewardClass.LOW),
+                frac_mid=log.class_fraction(RewardClass.MID),
+                frac_high=log.class_fraction(RewardClass.HIGH),
+                violations=log.violations,
+                mean_decide_us=0.0,
+            ))
+    assert [dataclasses.replace(r, mean_decide_us=0.0) for r in report.rows] == expected
+
+
+@pytest.mark.parametrize("run", [
+    lambda config: run_benchmark(dataclasses.replace(config, roster=("random", "dp"))),
+    lambda config: training_curve(dataclasses.replace(config, roster=("qlearn",)), [1.0]),
+], ids=["run_benchmark", "training_curve"])
+def test_one_test_table_is_alive_at_a_time(monkeypatch, run):
+    config = BenchConfig(datasets=dataclasses.replace(TINY, test_count=3))
+    tables = []
+    alive_before = []
+    real = bench._dp_for
+
+    def tracked(strip, config, cache_dir):
+        gc.collect()
+        alive_before.append(sum(ref() is not None for ref in tables))
+        table = real(strip, config, cache_dir)
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(bench, "_dp_for", tracked)
+    run(config)
+    assert alive_before == [0, 0, 0]
+
+
 def test_fractional_rewards_score_dp_at_exactly_100():
     config = BenchConfig(
         rewards=RewardModel(reward_low=0.1, reward_mid=0.3, reward_high=1.7),
@@ -307,9 +370,9 @@ def test_the_cloner_trains_under_the_configured_energy_model():
         datasets=dataclasses.replace(TINY, train_count=1, test_count=1),
         bc=dataclasses.replace(BenchConfig().bc, max_epochs=3),
     )
-    prep = prepare_training(config)
-    _, model = train_learners(prep)
-    demos = balance_dataset(_demo_pool(prep), seed=config.bc.seed)
+    strips = list(config.datasets.strips("train"))
+    _, model = train_learners(config, strips)
+    demos = balance_dataset(_demo_pool(config, strips), seed=config.bc.seed)
     expected = train_bc(demos, config.bc, energy=config.energy)
     assert [w.tobytes() for w in model.weights] == [w.tobytes() for w in expected.weights]
     assert [b.tobytes() for b in model.biases] == [b.tobytes() for b in expected.biases]
@@ -334,8 +397,7 @@ def episodes(config, policy):
 
 
 def test_saved_learners_equal_the_trained_ones_bit_for_bit(tmp_path):
-    prep = prepare_training(LEARNERS)
-    qtable, model = train_learners(prep, tmp_path)
+    qtable, model = train_learners(LEARNERS, list(LEARNERS.datasets.strips("train")), tmp_path)
     saved_q = load_qtable(tmp_path / QTABLE_FILE)
     saved_model = load_model(tmp_path / MODEL_FILE)
     assert np.array_equal(saved_q.q, qtable.q)
@@ -362,7 +424,7 @@ def strip_files(tmp_path, seeds):
 
 BC_CHANGES = dict(keep_prob=0.4, loss="mse", learning_rate=2e-3, batch_size=32, max_epochs=3,
                   patience=3, val_fraction=0.2, seed=1)
-Q_CHANGES = dict(alpha=0.5, gamma=0.9, epsilon=0.2, sweeps=3, seed=1)
+Q_CHANGES = dict(alpha=0.5, gamma=0.9, sweeps=3)
 
 
 def test_every_learner_param_is_a_key_case():

@@ -110,7 +110,8 @@ def test_bad_config_is_a_config_error(tmp_path, cfg, capsys):
 
 @pytest.mark.parametrize("key", ["qlearn.epsilon", "qlearn.seed"])
 def test_keys_no_command_reads_are_refused(tmp_path, cfg, capsys, key):
-    # only train_epsilon_greedy reads these fields, and no command runs it
+    # QLearnParams had these fields for an epsilon-greedy trainer that no
+    # command ran; both went with it, and the keys stay refused
     code = main(["train-q", "--config", cfg(f"{key} = 1\n"), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert "unknown config keys" in capsys.readouterr().err

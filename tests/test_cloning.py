@@ -668,12 +668,15 @@ def test_policy_rejects_unknown_mode():
 # ---------------------------------------------------------------------------
 
 def reference_features(index, t0s, socs):
-    """Feature rows built with index arrays, one fancy read per block."""
+    """Feature rows built with index arrays, one fancy read per block; the
+    class fractions are the footprint and lookahead counts over their
+    cell counts (an empty window counts 0 of 1 cell)."""
     near, earliest = index.bc_extras()
+    win_cells = np.maximum(index.win_cols * index._cells.shape[0], 1)
     out = np.empty((len(t0s), N_FEATURES))
     out[:, 0] = socs / SOC_MAX
-    out[:, 1:4] = index.radar_fraction[:, t0s].T
-    out[:, 4:7] = index.look_fraction[:, t0s].T
+    out[:, 1:4] = (index.radar_count[:, t0s] / index.footprint_size[t0s]).T
+    out[:, 4:7] = (index.look_count[:, t0s] / win_cells[t0s]).T
     out[:, 7:10] = near[:, t0s].T
     out[:, 10:13] = earliest[:, t0s].T
     return out

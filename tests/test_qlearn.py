@@ -1,4 +1,4 @@
-"""Tabular learner: state codec, TD update, both trainers, greedy policy."""
+"""Tabular learner: state codec, sweep trainer, greedy policy."""
 import hashlib
 import struct
 
@@ -22,12 +22,10 @@ from dyntarget import (
     q_policy,
     q_state_from_index,
     q_state_index,
-    q_update,
     random_policy,
     run_episode,
     save_qtable,
     train_dp_sweep,
-    train_epsilon_greedy,
 )
 from dyntarget.qlearn import N_Q_STATES, Q_HEADER, Q_MAGIC, _sweep
 from dyntarget.sim import SatState, strip_index
@@ -94,106 +92,13 @@ def test_featurize_last_column_has_empty_window(geom_small):
     assert state.flags == (False, True, False, False, False, False)
 
 
-# ---------------------------------------------------------------------------
-# TD update
-# ---------------------------------------------------------------------------
-
-def test_update_terminal_then_self_loop():
-    table = QTable()
-    params = QLearnParams()
-    q_update(table, 100, Action.SAMPLE, 100.0, None, params)
-    assert table.q[100, int(Action.SAMPLE)] == 40.0
-    assert table.visits[100, int(Action.SAMPLE)] == 1
-    q_update(table, 100, Action.SAMPLE, 0.0, 100, params)
-    assert table.q[100, int(Action.SAMPLE)] == pytest.approx(39.84)
-    assert table.visits[100, int(Action.SAMPLE)] == 2
-    assert np.count_nonzero(table.q) == 1
-
-
-def test_update_fixed_point():
-    table = QTable()
-    table.q[7, int(Action.OFF)] = 7.0
-    q_update(table, 7, Action.OFF, 7.0, None, QLearnParams())
-    assert table.q[7, int(Action.OFF)] == 7.0
-
-
-@pytest.mark.parametrize("s, s_next", [(-1, None), (N_Q_STATES, None), (0, N_Q_STATES)])
-def test_update_rejects_bad_indices(s, s_next):
-    with pytest.raises(ParameterError):
-        q_update(QTable(), s, Action.OFF, 0.0, s_next, QLearnParams())
-
-
 def test_params_validation():
     with pytest.raises(ParameterError):
         QLearnParams(alpha=0.0)
     with pytest.raises(ParameterError):
         QLearnParams(gamma=-0.1)
     with pytest.raises(ParameterError):
-        QLearnParams(epsilon=1.5)
-    with pytest.raises(ParameterError):
         QLearnParams(sweeps=-1)
-
-
-# ---------------------------------------------------------------------------
-# epsilon-greedy trainer
-# ---------------------------------------------------------------------------
-
-def test_greedy_only_never_samples_a_cold_table(geom_small):
-    strip = uniform(5, 40, RewardClass.LOW)
-    table = train_epsilon_greedy(
-        strip, QLearnParams(epsilon=0.0, seed=3), episodes=5, geom=geom_small
-    )
-    # ties break to Off and Low rewards never arrive, so q stays cold
-    assert not table.q.any()
-    assert table.visits[:, int(Action.SAMPLE)].sum() == 0
-    assert table.visits[:, int(Action.OFF)].sum() == 5 * 40
-
-
-def test_exploring_trainer_matches_a_replayed_oracle(geom_small):
-    rng_strip = np.random.default_rng(21)
-    strip = EnvStrip(rng_strip.integers(0, 3, size=(5, 25), dtype=np.uint8))
-    params = QLearnParams(epsilon=1.0, seed=9)
-    table = train_epsilon_greedy(strip, params, episodes=3, geom=geom_small)
-
-    mirror = QTable()
-    rng = np.random.default_rng(params.seed)
-    d, re = ENERGY.sample_discharge, ENERGY.recharge_per_step
-    for _ in range(3):
-        soc = 100
-        for t0 in range(strip.length):
-            obs = observe(strip, geom_small, SatState(t=t0 + 1, soc=soc))
-            s = q_state_index(featurize_q(obs))
-            if rng.random() <= params.epsilon:
-                action = Action.OFF if rng.random() < 0.5 else Action.SAMPLE
-            else:
-                action = (
-                    Action.SAMPLE
-                    if mirror.q[s, 1] > mirror.q[s, 0]
-                    else Action.OFF
-                )
-            if action == Action.SAMPLE and soc < d:
-                action = Action.OFF
-            if action == Action.SAMPLE:
-                reward = float(REWARDS.value_of(obs.radar_best_class()))
-                nsoc = min(max(soc - d + re, 0), 100)
-            else:
-                reward = 0.0
-                nsoc = min(soc + re, 100)
-            if t0 == strip.length - 1:
-                s_next = None
-            else:
-                nobs = observe(strip, geom_small, SatState(t=t0 + 2, soc=nsoc))
-                s_next = q_state_index(featurize_q(nobs))
-            q_update(mirror, s, action, reward, s_next, params)
-            soc = nsoc
-
-    assert np.array_equal(table.q, mirror.q)
-    assert np.array_equal(table.visits, mirror.visits)
-
-
-def test_trainer_rejects_negative_episode_count(geom_small):
-    with pytest.raises(ParameterError):
-        train_epsilon_greedy(uniform(5, 4, RewardClass.LOW), episodes=-1, geom=geom_small)
 
 
 # ---------------------------------------------------------------------------
