@@ -85,7 +85,12 @@ KNOWN_POLICIES = (
 DESK_SCALE_LENGTH = 10000
 FULL_SCALE_LENGTH = 86400
 
-SCENARIOS = ("cloud_avoidance", "storm_hunting")
+# the report's names for the three reward tiers under each scenario; the
+# scenario changes nothing else
+CLASS_NAMES = {
+    "cloud_avoidance": ("cloud", "mid_cloud", "clear"),
+    "storm_hunting": ("no_storm", "rainy_anvil", "convective_core"),
+}
 
 
 @dataclass(frozen=True)
@@ -164,8 +169,10 @@ class BenchConfig:
     bc_mode: str = "stochastic"
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
+        if self.scenario not in CLASS_NAMES:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
+        if not self.roster:
+            raise ConfigError("empty roster")
         for name in self.roster:
             if name not in KNOWN_POLICIES:
                 raise ConfigError(f"unknown policy {name!r} in roster")
@@ -175,10 +182,6 @@ class BenchConfig:
             raise ConfigError(f"soc0 out of [0, {SOC_MAX}]: {self.soc0}")
         if self.bc_mode not in ("stochastic", "threshold"):
             raise ConfigError(f"unknown bc mode {self.bc_mode!r}")
-        if self.rewards.scenario != self.scenario:
-            object.__setattr__(
-                self, "rewards", dataclasses.replace(self.rewards, scenario=self.scenario)
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +207,7 @@ def _parse_value(key: str, raw: str, kind):
 
 # Config keys are ``<field>`` for a top-level BenchConfig field and
 # ``<section>.<field>`` for a field of a nested dataclass, except for
-# these renamed and hidden fields.
+# these renamed fields.
 _KEY_ALIASES = {
     "random.p_sample": "p_sample",
     "bc.mode": "bc_mode",
@@ -212,7 +215,6 @@ _KEY_ALIASES = {
     "rewards.mid": "rewards.reward_mid",
     "rewards.high": "rewards.reward_high",
 }
-_HIDDEN_FIELDS = ("rewards.reward_off", "rewards.scenario")
 
 
 def _field_types(cls) -> Dict[str, object]:
@@ -230,11 +232,7 @@ def _config_keys() -> Dict[str, Tuple[str, object]]:
         else:
             fields[name] = kind
     keys = {path: key for key, path in _KEY_ALIASES.items()}
-    return {
-        keys.get(path, path): (path, kind)
-        for path, kind in fields.items()
-        if path not in _HIDDEN_FIELDS
-    }
+    return {keys.get(path, path): (path, kind) for path, kind in fields.items()}
 
 
 CONFIG_KEYS = _config_keys()
@@ -615,7 +613,7 @@ def emit_report(report: BenchReport, outdir) -> List[Path]:
 
 
 def _emit_markdown(report: BenchReport, outdir: Path) -> Path:
-    names = RewardModel(scenario=report.scenario).class_names()
+    names = CLASS_NAMES[report.scenario]
     lines = [f"# Benchmark report ({report.scenario})\n\n"]
     lines.append("## Time split per policy (mean over test strips, % of steps)\n\n")
     lines.append(f"| policy | off | {names[0]} | {names[1]} | {names[2]} |\n")
@@ -672,6 +670,8 @@ def training_curve(
     for f in fractions:
         if not (0.0 < f <= 1.0):
             raise ParameterError(f"fractions must lie in (0, 1]: {f}")
+    if not {"bc", "qlearn"} & set(config.roster):
+        raise ConfigError("a curve needs bc or qlearn in the roster")
     train = list(config.datasets.strips("train"))
     cache_dir = _cache_dir(outdir)
     tests = [

@@ -135,6 +135,8 @@ def _cmd_curve(args) -> int:
 
 def _cmd_latency(args) -> int:
     config = _load_base_config(args)
+    if set(config.roster) <= {"dp"}:
+        raise ConfigError("latency needs a policy other than dp in the roster")
     policies = prepare_bench(config, args.out)
     strip = next(config.datasets.strips("test"))
     kinds = _field_types(LatencyStats)

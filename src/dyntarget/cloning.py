@@ -74,18 +74,14 @@ def featurize_bc(obs: Observation) -> np.ndarray:
 
 @dataclass
 class DemoSet:
-    """Feature rows, expert actions, and where each example came from."""
+    """Feature rows, expert actions and the charge of each example."""
 
     features: np.ndarray          # (N, 13) float64
     actions: np.ndarray           # (N,) uint8, Action values
-    t: np.ndarray                 # (N,) int32, 1-based timestep
     soc: np.ndarray               # (N,) int32
-    source: np.ndarray            # (N,) int32 index into source_digests
-    source_digests: List[str] = field(default_factory=list)
 
     def __post_init__(self):
-        n = len(self.actions)
-        if not (len(self.features) == len(self.t) == len(self.soc) == len(self.source) == n):
+        if not (len(self.features) == len(self.soc) == len(self.actions)):
             raise ParameterError("demo arrays must share one length")
 
     def __len__(self) -> int:
@@ -102,8 +98,9 @@ def collect_demonstrations(
     """Sample the (timestep, charge) grid and label with expert actions.
 
     Each of the horizon * 101 cells is kept independently with
-    probability ``keep_prob`` (draws run timestep-major, charge-minor).
-    The table must have been built for exactly this strip.
+    probability ``keep_prob`` (draws run timestep-major, charge-minor),
+    and the kept cells are listed in that order.  The table must have
+    been built for exactly this strip.
     """
     if not (0.0 <= keep_prob <= 1.0):
         raise ParameterError(f"keep_prob out of [0, 1]: {keep_prob}")
@@ -118,46 +115,25 @@ def collect_demonstrations(
     feats = index.bc_features()[t0s]
     feats[:, 0] = socs / SOC_MAX
     actions = dp_table.samples(t0s, socs).astype(np.uint8)
-    return DemoSet(
-        features=feats,
-        actions=actions,
-        t=(t0s + 1).astype(np.int32),
-        soc=socs.astype(np.int32),
-        source=np.zeros(len(actions), dtype=np.int32),
-        source_digests=[dp_table.strip_digest],
-    )
+    return DemoSet(features=feats, actions=actions, soc=socs.astype(np.int32))
 
 
 def merge_demos(parts: Sequence[DemoSet]) -> DemoSet:
-    """Concatenate sets, re-basing per-example source indices."""
+    """Concatenate sets, in order."""
     parts = list(parts)
     if not parts:
         raise ParameterError("nothing to merge")
-    digests: List[str] = []
-    sources = []
-    for part in parts:
-        base = len(digests)
-        digests.extend(part.source_digests)
-        sources.append(part.source + base)
     return DemoSet(
         features=np.concatenate([p.features for p in parts]),
         actions=np.concatenate([p.actions for p in parts]),
-        t=np.concatenate([p.t for p in parts]),
         soc=np.concatenate([p.soc for p in parts]),
-        source=np.concatenate(sources),
-        source_digests=digests,
     )
 
 
 def take_demos(demos: DemoSet, order: np.ndarray) -> DemoSet:
     """Select examples by index, in the given order."""
     return DemoSet(
-        features=demos.features[order],
-        actions=demos.actions[order],
-        t=demos.t[order],
-        soc=demos.soc[order],
-        source=demos.source[order],
-        source_digests=list(demos.source_digests),
+        features=demos.features[order], actions=demos.actions[order], soc=demos.soc[order]
     )
 
 
@@ -557,16 +533,15 @@ def train_bc(
     validation loss.  Raises it for the validation loss too.
     """
     feasible = np.nonzero(demos.soc >= energy.sample_discharge)[0]
-    if len(feasible) < len(demos):
-        demos = take_demos(demos, feasible)
-    n = len(demos)
+    n = len(feasible)
     if n < params.batch_size:
         raise ParameterError(
             f"need at least one full batch ({params.batch_size}), "
             f"got {n} feasible examples"
         )
     rng = np.random.default_rng(params.seed)
-    order = rng.permutation(n)
+    # the feasible rows in a seeded order, so each split gathers once
+    order = feasible[rng.permutation(n)]
     n_val = max(1, int(round(n * params.val_fraction)))
     val_idx, train_idx = order[:n_val], order[n_val:]
     x_train, y_train = demos.features[train_idx], demos.actions[train_idx].astype(np.float64)

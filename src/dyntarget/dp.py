@@ -35,8 +35,7 @@ DEFAULT_MEMORY_CAP = 512 * 1024 * 1024
 
 
 def models_digest(geom: SensorGeometry, energy: EnergyModel, rewards: RewardModel) -> str:
-    """Hash of every model a value table depends on besides the strip; the
-    scenario only renames classes, so it is left out."""
+    """Hash of every model a value table depends on besides the strip."""
     r = (rewards.reward_low, rewards.reward_mid, rewards.reward_high)
     return hashlib.sha256(repr((geom, energy, r)).encode()).hexdigest()
 

@@ -105,14 +105,6 @@ class SensorGeometry:
         assert geom.lookahead_len_px == lookahead_len_px
         return geom
 
-    def cache_key(self) -> tuple:
-        return (
-            self.altitude_km,
-            self.radar_half_angle_deg,
-            self.lookahead_half_angle_deg,
-            self.pixel_size_km,
-        )
-
 
 @dataclass(frozen=True)
 class EnergyModel:
@@ -248,10 +240,8 @@ class StripIndex:
 
         self.radar_count = radar_cnt
         self.footprint_size = fp_size
-        self.radar_presence = radar_cnt > 0
-        self.radar_best = np.where(
-            self.radar_presence[2], 2, np.where(self.radar_presence[1], 1, 0)
-        ).astype(np.uint8)
+        radar_any = radar_cnt > 0
+        self.radar_best = np.where(radar_any[2], 2, np.where(radar_any[1], 1, 0)).astype(np.uint8)
 
         lat_cnt = band(r)
         self.lateral_best = np.where(
@@ -267,17 +257,17 @@ class StripIndex:
         self.win_hi1 = np.minimum(idx + look + 1, t)
         self.win_cols = self.win_hi1 - self.win_lo
         self.look_count = ccum[:, self.win_hi1] - ccum[:, self.win_lo]
-        self.look_presence = self.look_count > 0
 
-        bits = self.radar_presence.astype(np.uint8)
-        lbits = self.look_presence.astype(np.uint8)
+        # bit c: class c in the footprint; bit 3 + c: class c in the window
+        bits = radar_any.astype(np.uint8)
+        lbits = (self.look_count > 0).astype(np.uint8)
         self.qflag = (
             bits[0] + 2 * bits[1] + 4 * bits[2] + 8 * lbits[0] + 16 * lbits[1] + 32 * lbits[2]
         ).astype(np.uint8)
 
         col_any = colcnt > 0
-        self.column_best = np.where(col_any[2], 2, np.where(col_any[1], 1, 0)).astype(np.uint8)
-        iscls = np.stack([self.column_best == c for c in range(N_CLASSES)])
+        column_best = np.where(col_any[2], 2, np.where(col_any[1], 1, 0)).astype(np.uint8)
+        iscls = np.stack([column_best == c for c in range(N_CLASSES)])
         self.win_best_cum = np.zeros((N_CLASSES, t + 1), dtype=np.int64)
         np.cumsum(iscls, axis=1, out=self.win_best_cum[:, 1:])
 
@@ -361,11 +351,10 @@ class StripIndex:
 
 def strip_index(strip: EnvStrip, geom: SensorGeometry) -> StripIndex:
     """Summaries for (strip, geom), built once and cached on the strip."""
-    key = geom.cache_key()
-    idx = strip._caches.get(key)
+    idx = strip._caches.get(geom)
     if idx is None:
         idx = StripIndex(strip, geom)
-        strip._caches[key] = idx
+        strip._caches[geom] = idx
     return idx
 
 
@@ -436,12 +425,12 @@ class Observation:
         return RewardClass(self.index.radar_best[self.t - 1])
 
     def radar_class_presence(self) -> Tuple[bool, bool, bool]:
-        p = self.index.radar_presence[:, self.t - 1]
-        return (bool(p[0]), bool(p[1]), bool(p[2]))
+        flags = int(self.index.qflag[self.t - 1])
+        return (bool(flags & 1), bool(flags & 2), bool(flags & 4))
 
     def lookahead_class_presence(self) -> Tuple[bool, bool, bool]:
-        p = self.index.look_presence[:, self.t - 1]
-        return (bool(p[0]), bool(p[1]), bool(p[2]))
+        flags = int(self.index.qflag[self.t - 1])
+        return (bool(flags & 8), bool(flags & 16), bool(flags & 32))
 
 
 def observe(

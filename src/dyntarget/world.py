@@ -58,22 +58,17 @@ N_CLASSES = 3
 
 @dataclass(frozen=True)
 class RewardModel:
-    """Per-class sample rewards plus the scenario's display names.
+    """Per-class sample rewards.
 
-    The off reward is pinned to zero and the tiers must increase
-    strictly, so the class order is also the reward order everywhere.
+    Off always earns 0, and the tiers must increase strictly, so the
+    class order is also the reward order everywhere.
     """
 
     reward_low: float = 1.0
     reward_mid: float = 10.0
     reward_high: float = 100.0
-    scenario: str = "cloud_avoidance"
-
-    reward_off: float = 0.0
 
     def __post_init__(self):
-        if self.reward_off != 0.0:
-            raise ParameterError("off reward is fixed at 0")
         if not (self.reward_low < self.reward_mid < self.reward_high):
             raise ParameterError(
                 "rewards must increase strictly: "
@@ -86,12 +81,6 @@ class RewardModel:
 
     def value_of(self, cls: RewardClass) -> float:
         return float(self.values()[int(cls)])
-
-    def class_names(self) -> Tuple[str, str, str]:
-        """Human names for the three tiers under this scenario label."""
-        if self.scenario == "storm_hunting":
-            return ("no_storm", "rainy_anvil", "convective_core")
-        return ("cloud", "mid_cloud", "clear")
 
 
 @dataclass

@@ -94,7 +94,6 @@ def test_config_round_trips_values(tmp_path):
     assert config.soc0 == 80
     assert config.scenario == "storm_hunting"
     assert config.rewards.reward_high == 250
-    assert config.rewards.scenario == "storm_hunting"
     assert config.datasets.length == 500
     assert config.datasets.prevalence == (0.7, 0.2, 0.1)
     assert config.datasets.test_count == 3

@@ -328,6 +328,28 @@ def test_scoring_commands_refuse_empty_or_negative_strip_counts(tmp_path, comman
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, roster", [
+    ("eval", ""),  # nothing to score
+    ("curve", "dp"),  # no learner to train
+    ("latency", "dp"),  # no policy to time
+])
+def test_commands_refuse_a_roster_that_leaves_them_nothing_to_do(tmp_path, monkeypatch, cfg,
+                                                                 capsys, command, roster):
+    calls = []
+    for name in ("generate_synthetic", "build_dp_table"):
+        def counted(*args, _name=name, _real=getattr(bench, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, name, counted)
+    out = tmp_path / "o"
+    code = main([command, "--config", cfg(f"roster = {roster}\n"), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "roster" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()  # no dp_cache/, report or curve
+
+
 @pytest.mark.parametrize("command, generated, planned", [
     (["train-q"], 1, 0),
     (["train-bc"], 1, 1),

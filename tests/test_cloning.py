@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,15 +59,21 @@ def uniform(height, length, cls):
 
 def synth_demos(features, actions):
     """Wrap handcrafted feature rows as a demo set at full charge."""
-    n = len(actions)
     return DemoSet(
         features=np.asarray(features, dtype=np.float64),
         actions=np.asarray(actions, dtype=np.uint8),
-        t=np.ones(n, dtype=np.int32),
-        soc=np.full(n, 100, dtype=np.int32),
-        source=np.zeros(n, dtype=np.int32),
-        source_digests=["synthetic"],
+        soc=np.full(len(actions), 100, dtype=np.int32),
     )
+
+
+def grid_cells(length, keep_prob=1.0, seed=0):
+    """0-based timesteps and charges of the cells collect_demonstrations
+    keeps, in its order: timestep-major over the (length, 101) grid, every
+    cell for keep_prob 1, else those whose seeded draw is <= keep_prob."""
+    if keep_prob >= 1.0:
+        return np.divmod(np.arange(length * (SOC_MAX + 1)), SOC_MAX + 1)
+    draws = np.random.default_rng(seed).random((length, SOC_MAX + 1))
+    return np.nonzero(draws <= keep_prob)
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +130,12 @@ def test_collect_full_grid(geom_small):
     table = build_dp_table(strip, geom_small, ENERGY, REWARDS)
     demos = collect_demonstrations(table, strip, keep_prob=1.0, geom=geom_small)
     assert len(demos) == 2 * 101
-    assert set(zip(demos.t.tolist(), demos.soc.tolist())) == {
-        (t, soc) for t in (1, 2) for soc in range(101)
-    }
-    assert demos.source_digests == [strip.digest()]
+    t0s, socs = grid_cells(2)
+    assert np.array_equal(demos.soc, socs)
     assert np.all(demos.actions[demos.soc < ENERGY.sample_discharge] == 0)
     # labels are the planner's own readout, ties to Off
-    for t, soc, action in zip(demos.t.tolist(), demos.soc.tolist(), demos.actions.tolist()):
-        assert action == expert_action(table, t, soc)
+    for t0, soc, action in zip(t0s.tolist(), socs.tolist(), demos.actions.tolist()):
+        assert action == expert_action(table, t0 + 1, soc)
     assert demos.actions.sum() > 0
 
 
@@ -142,8 +147,10 @@ def test_collect_is_seeded_and_binomial(geom_small):
     b = collect_demonstrations(table, strip, keep_prob=0.2, seed=11, geom=geom_small)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.actions, b.actions)
-    for t, soc, action in zip(a.t.tolist(), a.soc.tolist(), a.actions.tolist()):
-        assert action == expert_action(table, t, soc)
+    t0s, socs = grid_cells(50, keep_prob=0.2, seed=11)
+    assert np.array_equal(a.soc, socs)
+    for t0, soc, action in zip(t0s.tolist(), socs.tolist(), a.actions.tolist()):
+        assert action == expert_action(table, t0 + 1, soc)
     # N ~ Binomial(5050, 0.2): mean 1010, sd ~ 28.4
     assert abs(len(a) - 1010) < 5 * 28.5
     c = collect_demonstrations(table, strip, keep_prob=0.2, seed=12, geom=geom_small)
@@ -162,7 +169,7 @@ def test_collect_validation(geom_small):
         collect_demonstrations(stretched, strip, geom=geom_small)
 
 
-def test_merge_rebases_sources(geom_small):
+def test_merge_lists_the_parts_in_order(geom_small):
     strips = [uniform(5, 2, RewardClass.LOW), uniform(5, 3, RewardClass.HIGH)]
     parts = []
     for strip in strips:
@@ -170,10 +177,10 @@ def test_merge_rebases_sources(geom_small):
         parts.append(collect_demonstrations(table, strip, keep_prob=1.0, geom=geom_small))
     merged = merge_demos(parts)
     assert len(merged) == len(parts[0]) + len(parts[1])
-    assert merged.source_digests == [strips[0].digest(), strips[1].digest()]
-    assert set(merged.source.tolist()) == {0, 1}
-    assert np.all(merged.source[: len(parts[0])] == 0)
-    assert np.all(merged.source[len(parts[0]):] == 1)
+    for name in ("features", "actions", "soc"):
+        head, tail = np.split(getattr(merged, name), [len(parts[0])])
+        assert np.array_equal(head, getattr(parts[0], name))
+        assert np.array_equal(tail, getattr(parts[1], name))
     with pytest.raises(ParameterError):
         merge_demos([])
 
@@ -229,9 +236,7 @@ def test_balance_rejects_an_empty_set():
     empty = DemoSet(
         features=np.zeros((0, N_FEATURES)),
         actions=np.zeros(0, dtype=np.uint8),
-        t=np.zeros(0, dtype=np.int32),
         soc=np.zeros(0, dtype=np.int32),
-        source=np.zeros(0, dtype=np.int32),
     )
     with pytest.raises(ParameterError):
         balance_dataset(empty)
@@ -242,9 +247,7 @@ def test_demo_set_rejects_ragged_arrays():
         DemoSet(
             features=np.zeros((3, N_FEATURES)),
             actions=np.zeros(2, dtype=np.uint8),
-            t=np.zeros(3, dtype=np.int32),
             soc=np.zeros(3, dtype=np.int32),
-            source=np.zeros(3, dtype=np.int32),
         )
 
 
@@ -560,6 +563,20 @@ def test_gradients_match_the_per_array_reference(loss, rows):
         assert np.array_equal(bits(got), bits(want))
 
 
+def test_training_gathers_the_feasible_rows_once():
+    # the charge filter, the shuffle and the split make one index array,
+    # so the feasible rows are copied once, into the two splits
+    demos = labelled_rows(31, 40_000)
+    demos.soc[::20] = ENERGY.sample_discharge - 1
+    tracemalloc.start()
+    try:
+        train_bc(demos, TrainParams(max_epochs=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * demos.features.nbytes
+
+
 def test_trained_models_share_no_memory():
     demos = noisy_demos(12)
     params = TrainParams(max_epochs=6, patience=2)
@@ -721,7 +738,9 @@ def test_features_match_the_indexed_reference():
             assert np.array_equal(bits(row), bits(want)), (t, soc)
     table = build_dp_table(strip, geom, ENERGY, REWARDS)
     demos = collect_demonstrations(table, strip, keep_prob=1.0, geom=geom)
-    want = reference_features(index, demos.t - 1, demos.soc)
+    t0s, socs = grid_cells(strip.length)
+    assert np.array_equal(demos.soc, socs)
+    want = reference_features(index, t0s, socs)
     assert np.array_equal(bits(demos.features), bits(want))
 
 
@@ -749,11 +768,11 @@ def test_policy_probability_matches_the_reference_formula(which):
     strip = generate_synthetic(GenParams(length=90, seed=43 + which))
     geom = SensorGeometry()
     index = observe(strip, geom, SatState(t=1, soc=0)).index
-    t0s, socs = np.divmod(np.arange(strip.length * (SOC_MAX + 1)), SOC_MAX + 1)
+    t0s, socs = grid_cells(strip.length)
     rows = reference_features(index, t0s, socs)
     demos = collect_demonstrations(build_dp_table(strip, geom, ENERGY, REWARDS), strip,
                                    keep_prob=1.0, geom=geom)
-    assert np.array_equal(demos.t - 1, t0s) and np.array_equal(demos.soc, socs)
+    assert np.array_equal(demos.soc, socs)
     threshold = bc_policy(model, mode="threshold", energy=ENERGY)
     stochastic = bc_policy(model, mode="stochastic", seed=7, energy=ENERGY)
     draws = np.random.default_rng(7)
