@@ -194,12 +194,6 @@ def _parse_value(key: str, raw: str, kind):
         item = typing.get_args(kind)[0]
         return tuple(_parse_value(key, p.strip(), item) for p in raw.split(",") if p.strip())
     try:
-        if kind is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
@@ -559,24 +553,27 @@ def _episode(
     return log, _pct_of_dp(log.total_reward, dp_value)
 
 
-def run_benchmark(config: BenchConfig, outdir=None, progress: bool = False) -> BenchReport:
-    """Score the whole roster on every test strip.
+def _score(
+    config: BenchConfig,
+    policies: Sequence[Tuple[str, Optional[Policy]]],
+    cache_dir: Optional[Path],
+) -> List[List[ReportRow]]:
+    """Each ``(name, policy)`` pair's rows, one per test strip; a None
+    policy stands for the strip's planner.
 
     The test strips are walked one at a time: each is planned, or its
-    table read from the cache, every policy is scored on it, and strip
-    and table are dropped before the next, so at most one test table is
-    alive.  Every episode resets its policy first, so this order changes
-    no episode; the rows are listed policy by policy.
+    table read from ``cache_dir``, every policy is scored on it, and strip
+    and table are dropped before the next, so at most one test strip and
+    one test table are alive.  Every episode resets its policy first, so
+    this order changes no episode.
     """
-    policies = prepare_bench(config, outdir, progress=progress)
-    cache_dir = _cache_dir(outdir)
-    rows: Dict[str, List[ReportRow]] = {name: [] for name in config.roster}
+    rows: List[List[ReportRow]] = [[] for _ in policies]
     for i, strip in enumerate(config.datasets.strips("test")):
         table = _dp_for(strip, config, cache_dir)
         dp_value = table.root_value(config.soc0)
-        for name, policy in policies:
+        for out, (name, policy) in zip(rows, policies):
             log, pct = _episode(config, strip, policy or dp_policy(table, strip), dp_value)
-            rows[name].append(
+            out.append(
                 ReportRow(
                     policy=name,
                     dataset=f"test{i:02d}",
@@ -591,10 +588,17 @@ def run_benchmark(config: BenchConfig, outdir=None, progress: bool = False) -> B
                 )
             )
         del strip, table
+    return rows
+
+
+def run_benchmark(config: BenchConfig, outdir=None, progress: bool = False) -> BenchReport:
+    """Score the whole roster on every test strip, in one ``_score`` walk;
+    the rows are listed policy by policy."""
+    scored = _score(config, prepare_bench(config, outdir, progress=progress), _cache_dir(outdir))
     if progress:
-        for name in config.roster:
-            print(f"{name}: mean {_mean([r.pct_of_dp for r in rows[name]]):.2f}% of dp")
-    ordered = [row for name in config.roster for row in rows[name]]
+        for name, rows in zip(config.roster, scored):
+            print(f"{name}: mean {_mean([r.pct_of_dp for r in rows]):.2f}% of dp")
+    ordered = [row for rows in scored for row in rows]
     return BenchReport(scenario=config.scenario, rows=ordered, roster=config.roster)
 
 
@@ -663,8 +667,9 @@ def training_curve(
     sees a seeded random subset of one demonstration pool collected at
     the configured rate, so smaller fractions are nested inside larger
     ones.  A fraction of exactly 1.0 reuses the pool untouched and so
-    matches a plain benchmark run.  The test strips stay fixed across
-    fractions; only their planner values are kept, not their tables.
+    matches a plain benchmark run.  Every learner is trained first, for
+    every fraction; then one ``_score`` walk, as in ``run_benchmark``,
+    scores them all on the test strips.
     """
     fractions = [float(f) for f in fractions]
     for f in fractions:
@@ -674,21 +679,17 @@ def training_curve(
         raise ConfigError("a curve needs bc or qlearn in the roster")
     train = list(config.datasets.strips("train"))
     cache_dir = _cache_dir(outdir)
-    tests = [
-        (strip, _dp_for(strip, config, cache_dir).root_value(config.soc0))
-        for strip in config.datasets.strips("test")
-    ]
     pool = None
     pool_order = None
     if "bc" in config.roster:
         pool = _demo_pool(config, train, cache_dir)
         pool_order = np.random.default_rng(config.bc.seed).permutation(len(pool))
-    points: List[CurvePoint] = []
+    learners: List[Tuple[str, float, Policy]] = []
     for f in fractions:
         if "qlearn" in config.roster:
             prefixes = [_prefix_strip(s, f) for s in train]
-            policy = _build_policy("qlearn", config, _sweep(prefixes, config), None)
-            points.append(_curve_point("qlearn", f, policy, config, tests))
+            qtable = _sweep(prefixes, config)
+            learners.append(("qlearn", f, _build_policy("qlearn", config, qtable, None)))
         if "bc" in config.roster:
             if f >= 1.0:
                 sub = pool
@@ -697,24 +698,17 @@ def training_curve(
                 sub = take_demos(pool, pool_order[:n_f])
             demos = balance_dataset(sub, seed=config.bc.seed)
             model = train_bc(demos, config.bc, energy=config.energy)
-            bc = _build_policy("bc", config, None, model)
-            points.append(_curve_point("bc", f, bc, config, tests))
-        if progress:
+            learners.append(("bc", f, _build_policy("bc", config, None, model)))
+    scored = _score(config, [(name, policy) for name, _, policy in learners], cache_dir)
+    points: List[CurvePoint] = []
+    for (name, f, _), rows in zip(learners, scored):
+        pcts = [r.pct_of_dp for r in rows]
+        points.append(CurvePoint(name, f, _mean(pcts), min(pcts), max(pcts)))
+    if progress:
+        for f in fractions:
             got = [p for p in points if abs(p.fraction - f) < 1e-12]
             print(f"fraction {f}: " + ", ".join(f"{p.learner} {p.mean_pct:.2f}%" for p in got))
     return points
-
-
-def _curve_point(learner, fraction, policy, config: BenchConfig, tests) -> CurvePoint:
-    """``policy`` scored on ``tests``, (strip, planner value) pairs."""
-    pcts = [_episode(config, strip, policy, dp_value)[1] for strip, dp_value in tests]
-    return CurvePoint(
-        learner=learner,
-        fraction=fraction,
-        mean_pct=_mean(pcts),
-        min_pct=min(pcts),
-        max_pct=max(pcts),
-    )
 
 
 def curve_to_csv(points: Sequence[CurvePoint], path) -> None:
@@ -751,7 +745,7 @@ def measure_latency(
     """
     if n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
-    _, decide_ns = _rollout(strip, geom, energy, RewardModel(), policy, soc0, None, n_steps)
+    _, decide_ns = _rollout(strip, geom, energy, RewardModel(), policy, soc0, n_steps)
     us = np.array(decide_ns, dtype=np.float64) / 1000.0
     return LatencyStats(
         mean_us=float(us.mean()),

@@ -106,11 +106,8 @@ def collect_demonstrations(
         raise ParameterError(f"keep_prob out of [0, 1]: {keep_prob}")
     dp_table.check_strip(strip)
     index = strip_index(strip, geom)
-    rng = np.random.default_rng(seed)
-    if keep_prob >= 1.0:
-        mask = np.ones((strip.length, N_SOC), dtype=bool)
-    else:
-        mask = rng.random((strip.length, N_SOC)) <= keep_prob
+    # draws lie in [0, 1), so keep_prob = 1.0 keeps every cell
+    mask = np.random.default_rng(seed).random((strip.length, N_SOC)) <= keep_prob
     t0s, socs = np.nonzero(mask)
     feats = index.bc_features()[t0s]
     feats[:, 0] = socs / SOC_MAX

@@ -15,13 +15,13 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .errors import ConsistencyError, FormatError, ParameterError, ResourceError
 from .sim import (Action, EnergyModel, N_SOC, Observation, Placement, Policy, SensorGeometry,
-                  SOC_MAX, StripIndex, charge_rule, strip_index)
+                  SOC_MAX, charge_rule, strip_index)
 from .world import EnvStrip, RewardModel, check_size, read_checked, write_file
 
 # Enumerating 2^T sequences past this horizon is pointless and slow.
@@ -81,19 +81,18 @@ def build_dp_table(
     energy: EnergyModel = EnergyModel(),
     rewards: RewardModel = RewardModel(),
     memory_cap_bytes: int = DEFAULT_MEMORY_CAP,
-    index: Optional[StripIndex] = None,
 ) -> DPTable:
     """Backward induction over (timestep, charge): each value adds one
     sampled reward to its successor's, so it sums its path last step
-    first.  The size is checked against ``memory_cap_bytes`` up front."""
+    first.  Rewards are read from the strip's cached index
+    ``strip_index(strip, geom)``.  The size is checked against
+    ``memory_cap_bytes`` up front."""
     horizon = strip.length
     estimate = (horizon + 1) * N_SOC * 8
     if estimate > memory_cap_bytes:
         raise ResourceError(f"value table needs {estimate} bytes, cap is {memory_cap_bytes}")
-    if index is None:
-        index = strip_index(strip, geom)
 
-    r_sample = rewards.values()[index.radar_best]
+    r_sample = rewards.values()[strip_index(strip, geom).radar_best]
     off_next, smp_next = charge_rule(energy)
     d = energy.sample_discharge  # the lowest charge that affords a sample
     smp_next = smp_next[d:]

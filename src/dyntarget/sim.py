@@ -365,21 +365,21 @@ def strip_index(strip: EnvStrip, geom: SensorGeometry) -> StripIndex:
 @dataclass
 class Observation:
     """What a policy sees entering timestep ``t``: both sensor views plus
-    its own charge.  Heavy views are materialized only on access."""
+    its own charge.  Heavy views are materialized only on access; ``index``
+    is always the strip's cached ``strip_index(strip, geom)``."""
 
     strip: EnvStrip
     geom: SensorGeometry
     t: int
     soc: int
-    index: StripIndex = field(repr=False, default=None)
+    index: StripIndex = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (1 <= self.t <= self.strip.length):
             raise IndexError(f"timestep {self.t} outside 1..{self.strip.length}")
         if not (0 <= self.soc <= SOC_MAX):
             raise ParameterError(f"soc out of [0, {SOC_MAX}]: {self.soc}")
-        if self.index is None:
-            self.index = strip_index(self.strip, self.geom)
+        self.index = strip_index(self.strip, self.geom)
 
     @classmethod
     def _unchecked(cls, strip, geom, t, soc, index) -> "Observation":
@@ -433,14 +433,10 @@ class Observation:
         return (bool(flags & 8), bool(flags & 16), bool(flags & 32))
 
 
-def observe(
-    strip: EnvStrip,
-    geom: SensorGeometry,
-    state: SatState,
-    index: Optional[StripIndex] = None,
-) -> Observation:
-    """Observation for ``state``; raises IndexError past the horizon."""
-    return Observation(strip, geom, state.t, state.soc, index)
+def observe(strip: EnvStrip, geom: SensorGeometry, state: SatState) -> Observation:
+    """Observation for ``state``, reading the strip's cached index
+    ``strip_index(strip, geom)``; raises IndexError past the horizon."""
+    return Observation(strip, geom, state.t, state.soc)
 
 
 class Policy:
@@ -467,36 +463,20 @@ class Policy:
 
 
 def best_target(
-    strip: EnvStrip,
-    geom: SensorGeometry,
-    t: int,
-    index: Optional[StripIndex] = None,
-    placement: Placement = Placement.DISC,
+    strip: EnvStrip, geom: SensorGeometry, t: int
 ) -> Tuple[Tuple[int, int], RewardClass]:
-    """Pixel the sampler would hit at timestep ``t``.
+    """Pixel a DISC sampler would hit at timestep ``t``, read from the
+    strip's cached index ``strip_index(strip, geom)``.
 
-    Highest class present wins; ties go to the pixel nearest nadir, then
-    the smaller row, then the smaller column.  ``placement`` narrows the
-    search to the nadir pixel or the current cross-track line.
+    Highest class present in the footprint wins; ties go to the pixel
+    nearest nadir, then the smaller row, then the smaller column.
     """
     if not (1 <= t <= strip.length):
         raise IndexError(f"timestep {t} outside 1..{strip.length}")
-    if index is None:
-        index = strip_index(strip, geom)
     h, w = strip.height, strip.length
     center = strip.center_row
     t0 = t - 1
-    if placement == Placement.NADIR:
-        return ((center, t0), RewardClass(strip.cells[center, t0]))
-    if placement == Placement.LATERAL:
-        cls = int(index.lateral_best[t0])
-        for _, dr, dc in disc_offsets(geom.radar_radius_px):
-            if dc != 0:
-                continue
-            row = center + dr
-            if 0 <= row < h and strip.cells[row, t0] == cls:
-                return ((row, t0), RewardClass(cls))
-    cls = int(index.radar_best[t0])
+    cls = int(strip_index(strip, geom).radar_best[t0])
     for _, dr, dc in disc_offsets(geom.radar_radius_px):
         row, col = center + dr, t0 + dc
         if 0 <= row < h and 0 <= col < w and strip.cells[row, col] == cls:
@@ -522,21 +502,20 @@ def step(
     state: SatState,
     action: Action,
     placement: Placement = Placement.DISC,
-    index: Optional[StripIndex] = None,
 ) -> Tuple[SatState, float, Optional[RewardClass]]:
     """Advance one timestep; returns (next state, reward, sampled class).
 
-    Raises InfeasibleActionError on an unaffordable sample and IndexError
-    past the horizon.  The next state's ``t`` may be ``length + 1``,
-    which marks the episode as finished.
+    The class is read from the strip's cached index
+    ``strip_index(strip, geom)``.  Raises InfeasibleActionError on an
+    unaffordable sample and IndexError past the horizon.  The next
+    state's ``t`` may be ``length + 1``, which marks the episode as
+    finished.
     """
     if not (1 <= state.t <= strip.length):
         raise IndexError(f"timestep {state.t} outside 1..{strip.length}")
-    if index is None:
-        index = strip_index(strip, geom)
     next_soc = soc_transition(energy, state.soc, action)
     if action == Action.SAMPLE:
-        cls = sampled_class(index, state.t, placement)
+        cls = sampled_class(strip_index(strip, geom), state.t, placement)
         reward = rewards.value_of(cls)
     else:
         cls = None
@@ -619,7 +598,6 @@ def _rollout(
     rewards: RewardModel,
     policy,
     soc0: int,
-    index: Optional[StripIndex],
     n_steps: int,
 ) -> Tuple[EpisodeLog, List[int]]:
     """``policy``'s log over ``n_steps`` decisions, and each ``decide``
@@ -630,8 +608,7 @@ def _rollout(
     the walk's own bounds make redundant."""
     if not (0 <= soc0 <= SOC_MAX):
         raise ParameterError(f"soc0 out of [0, {SOC_MAX}]: {soc0}")
-    if index is None:
-        index = strip_index(strip, geom)
+    index = strip_index(strip, geom)
     reset = getattr(policy, "reset", None)
     if reset is not None:
         reset()
@@ -699,9 +676,9 @@ def run_episode(
     rewards: RewardModel,
     policy,
     soc0: int = SOC_MAX,
-    index: Optional[StripIndex] = None,
 ) -> EpisodeLog:
-    """Run ``policy`` over the whole strip from charge ``soc0``.
+    """Run ``policy`` over the whole strip from charge ``soc0``, reading
+    the strip's cached index ``strip_index(strip, geom)``.
 
     Infeasible sample requests are executed as Off and counted as
     violations, so the trace always respects the energy model.  Policies
@@ -710,4 +687,4 @@ def run_episode(
     an Action, a bool or an integer equal to 0 or 1, is raised as
     EpisodeError naming the step.
     """
-    return _rollout(strip, geom, energy, rewards, policy, soc0, index, strip.length)[0]
+    return _rollout(strip, geom, energy, rewards, policy, soc0, strip.length)[0]

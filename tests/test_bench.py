@@ -314,21 +314,26 @@ def test_strip_major_scoring_matches_a_policy_major_loop():
     lambda config: training_curve(dataclasses.replace(config, roster=("qlearn",)), [1.0]),
 ], ids=["run_benchmark", "training_curve"])
 def test_one_test_table_is_alive_at_a_time(monkeypatch, run):
+    """Neither an earlier test table nor an earlier test strip is alive
+    when the next strip's table is requested."""
     config = BenchConfig(datasets=dataclasses.replace(TINY, test_count=3))
     tables = []
+    strips = []
     alive_before = []
     real = bench._dp_for
 
     def tracked(strip, config, cache_dir):
         gc.collect()
-        alive_before.append(sum(ref() is not None for ref in tables))
+        alive_before.append((sum(ref() is not None for ref in tables),
+                             sum(ref() is not None for ref in strips)))
         table = real(strip, config, cache_dir)
         tables.append(weakref.ref(table))
+        strips.append(weakref.ref(strip))
         return table
 
     monkeypatch.setattr(bench, "_dp_for", tracked)
     run(config)
-    assert alive_before == [0, 0, 0]
+    assert alive_before == [(0, 0), (0, 0), (0, 0)]
 
 
 def test_fractional_rewards_score_dp_at_exactly_100():

@@ -733,7 +733,7 @@ def test_features_match_the_indexed_reference():
     index = observe(strip, geom, SatState(t=1, soc=0)).index
     for soc in (0, 5, 37, 100):
         for t in range(1, strip.length + 1):
-            row = featurize_bc(observe(strip, geom, SatState(t=t, soc=soc), index=index))
+            row = featurize_bc(observe(strip, geom, SatState(t=t, soc=soc)))
             want = reference_features(index, np.array([t - 1]), np.array([soc]))[0]
             assert np.array_equal(bits(row), bits(want)), (t, soc)
     table = build_dp_table(strip, geom, ENERGY, REWARDS)
@@ -778,7 +778,7 @@ def test_policy_probability_matches_the_reference_formula(which):
     draws = np.random.default_rng(7)
     decided = set()
     for k, (t0, soc) in enumerate(zip(t0s.tolist(), socs.tolist())):
-        obs = observe(strip, geom, SatState(t=t0 + 1, soc=soc), index=index)
+        obs = observe(strip, geom, SatState(t=t0 + 1, soc=soc))
         row = featurize_bc(obs)
         assert np.array_equal(bits(row), bits(demos.features[k])), (t0, soc)
         want = reference_forward(model, rows[k])

@@ -277,6 +277,26 @@ def test_observation_validates_inputs():
         Observation(strip, geom, 1, 101)
 
 
+@pytest.mark.parametrize("call", [
+    lambda strip, geom, index: observe(strip, geom, SatState(1, 50), index=index),
+    lambda strip, geom, index: Observation(strip, geom, 1, 50, index=index),
+    lambda strip, geom, index: step(strip, geom, ENERGY, REWARDS, SatState(1, 50),
+                                    Action.SAMPLE, index=index),
+    lambda strip, geom, index: run_episode(strip, geom, ENERGY, REWARDS, AlwaysOff(),
+                                           index=index),
+    lambda strip, geom, index: best_target(strip, geom, 1, index=index),
+    lambda strip, geom, index: build_dp_table(strip, geom, ENERGY, REWARDS, index=index),
+], ids=["observe", "Observation", "step", "run_episode", "best_target", "build_dp_table"])
+def test_another_strips_index_is_refused(call):
+    """Every entry point reads the strip's own cached index; none takes
+    one from the caller, so no table or episode can read another strip."""
+    geom = SensorGeometry()
+    strip = generate_synthetic(GenParams(length=60, seed=5))
+    other = generate_synthetic(GenParams(length=60, seed=6))
+    with pytest.raises(TypeError):
+        call(strip, geom, strip_index(other, geom))
+
+
 @given(seed=st.integers(0, 2**32 - 1), height=st.sampled_from([1, 3, 5, 9]),
        length=st.integers(1, 30))
 @settings(max_examples=25)
@@ -465,7 +485,7 @@ def test_bc_features_are_built_before_the_first_clock(monkeypatch, runner):
     monkeypatch.setattr(time, "perf_counter_ns", timed)
     policy = bc_policy(init_mlp(seed=1), mode="threshold", energy=ENERGY)
     if runner == "run_episode":
-        run_episode(strip, geom, ENERGY, REWARDS, policy, index=index)
+        run_episode(strip, geom, ENERGY, REWARDS, policy)
     else:
         measure_latency(policy, strip, 30, geom, ENERGY)
     monkeypatch.undo()
