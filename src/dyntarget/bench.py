@@ -1,10 +1,10 @@
 """End-to-end benchmark: data, training, evaluation, reports.
 
 A benchmark run trains the two learners on the training strips, then
-walks the test strips (generated or loaded, always disjoint from the
-training strips) one at a time: it plans each exactly once with the DP
-builder and scores every rostered policy on it as a percentage of the
-DP value.  Reports are written as CSV and markdown with stable ordering
+walks the test strips (generated, or loaded from the configured paths;
+always disjoint from the training strips) one at a time: it plans each
+exactly once with the DP builder and scores every rostered policy on it
+as a percentage of the DP value.  Reports are written as CSV and markdown with stable ordering
 and float formatting, so identical configs produce byte-identical files
 apart from measured latency.
 """
@@ -69,7 +69,17 @@ from .sim import (
     _rollout,
     run_episode,
 )
-from .world import EnvStrip, GenParams, RewardClass, RewardModel, generate_synthetic, load_dataset
+from .world import (
+    EnvStrip,
+    GenParams,
+    RewardClass,
+    RewardModel,
+    generate_synthetic,
+    load_dataset,
+    load_keyed_strip,
+    save_keyed_strip,
+    strip_key,
+)
 
 KNOWN_POLICIES = (
     "random",
@@ -137,16 +147,18 @@ class DatasetSpec:
             seed=seed,
         )
 
-    def strips(self, role: str) -> Iterator[EnvStrip]:
+    def strips(self, role: str, outdir=None) -> Iterator[EnvStrip]:
         """The ``"train"`` or ``"test"`` strips, one at a time: loaded from
-        the configured paths, else generated."""
+        the configured paths, else generated, or with an ``outdir`` read
+        back from ``<outdir>/strips/`` (see ``_strip_for``)."""
         if self.train_paths or self.test_paths:
             if not (self.train_paths and self.test_paths):
                 raise ConfigError("provide both train and test paths, or neither")
             return map(load_dataset, getattr(self, f"{role}_paths"))
         seed0 = getattr(self, f"{role}_seed0")
         count = getattr(self, f"{role}_count")
-        return (generate_synthetic(self.gen_params(seed0 + i)) for i in range(count))
+        strip_dir = Path(outdir) / "strips" if outdir is not None else None
+        return (_strip_for(self.gen_params(seed0 + i), strip_dir) for i in range(count))
 
 
 @dataclass(frozen=True)
@@ -287,6 +299,26 @@ def build_config(entries: Dict[str, str]) -> BenchConfig:
 
 def _cache_dir(outdir) -> Optional[Path]:
     return Path(outdir) / "dp_cache" if outdir is not None else None
+
+
+def _strip_for(params: GenParams, strip_dir: Optional[Path]) -> EnvStrip:
+    """Generate the strip ``params`` describe, or read back a saved copy.
+
+    The file is named by ``world.strip_key(params)``, which covers every
+    generator param, the generator's identity and the numpy version.  A
+    file there that fails to parse, was saved under another key or whose
+    cells do not match its digest is a miss: regenerated and overwritten.
+    """
+    if strip_dir is None:
+        return generate_synthetic(params)
+    key = strip_key(params)
+    path = strip_dir / f"{key[:32]}.dts"
+    strip = load_keyed_strip(path, key)
+    if strip is None:
+        strip = generate_synthetic(params)
+        strip_dir.mkdir(parents=True, exist_ok=True)
+        save_keyed_strip(strip, key, path)
+    return strip
 
 
 def _dp_for(
@@ -449,7 +481,7 @@ def prepare_bench(
     trained by ``train_learners`` on the training strips; ``dp`` maps to
     None, because the planner is built per test strip."""
     qtable, model = train_learners(
-        config, list(config.datasets.strips("train")), outdir, progress=progress
+        config, list(config.datasets.strips("train", outdir)), outdir, progress=progress
     )
     return [(name, _build_policy(name, config, qtable, model)) for name in config.roster]
 
@@ -556,19 +588,20 @@ def _episode(
 def _score(
     config: BenchConfig,
     policies: Sequence[Tuple[str, Optional[Policy]]],
-    cache_dir: Optional[Path],
+    outdir,
 ) -> List[List[ReportRow]]:
     """Each ``(name, policy)`` pair's rows, one per test strip; a None
     policy stands for the strip's planner.
 
     The test strips are walked one at a time: each is planned, or its
-    table read from ``cache_dir``, every policy is scored on it, and strip
-    and table are dropped before the next, so at most one test strip and
-    one test table are alive.  Every episode resets its policy first, so
-    this order changes no episode.
+    table read from ``<outdir>/dp_cache/``, every policy is scored on it,
+    and strip and table are dropped before the next, so at most one test
+    strip and one test table are alive.  Every episode resets its policy
+    first, so this order changes no episode.
     """
+    cache_dir = _cache_dir(outdir)
     rows: List[List[ReportRow]] = [[] for _ in policies]
-    for i, strip in enumerate(config.datasets.strips("test")):
+    for i, strip in enumerate(config.datasets.strips("test", outdir)):
         table = _dp_for(strip, config, cache_dir)
         dp_value = table.root_value(config.soc0)
         for out, (name, policy) in zip(rows, policies):
@@ -594,7 +627,7 @@ def _score(
 def run_benchmark(config: BenchConfig, outdir=None, progress: bool = False) -> BenchReport:
     """Score the whole roster on every test strip, in one ``_score`` walk;
     the rows are listed policy by policy."""
-    scored = _score(config, prepare_bench(config, outdir, progress=progress), _cache_dir(outdir))
+    scored = _score(config, prepare_bench(config, outdir, progress=progress), outdir)
     if progress:
         for name, rows in zip(config.roster, scored):
             print(f"{name}: mean {_mean([r.pct_of_dp for r in rows]):.2f}% of dp")
@@ -669,20 +702,22 @@ def training_curve(
     ones.  A fraction of exactly 1.0 reuses the pool untouched and so
     matches a plain benchmark run.  Every learner is trained first, for
     every fraction; then one ``_score`` walk, as in ``run_benchmark``,
-    scores them all on the test strips.
+    scores them all on the test strips.  A repeated fraction is refused
+    with ConfigError before any strip is generated or read.
     """
     fractions = [float(f) for f in fractions]
     for f in fractions:
         if not (0.0 < f <= 1.0):
             raise ParameterError(f"fractions must lie in (0, 1]: {f}")
+    if len(set(fractions)) != len(fractions):
+        raise ConfigError(f"repeated fraction in {fractions}")
     if not {"bc", "qlearn"} & set(config.roster):
         raise ConfigError("a curve needs bc or qlearn in the roster")
-    train = list(config.datasets.strips("train"))
-    cache_dir = _cache_dir(outdir)
+    train = list(config.datasets.strips("train", outdir))
     pool = None
     pool_order = None
     if "bc" in config.roster:
-        pool = _demo_pool(config, train, cache_dir)
+        pool = _demo_pool(config, train, _cache_dir(outdir))
         pool_order = np.random.default_rng(config.bc.seed).permutation(len(pool))
     learners: List[Tuple[str, float, Policy]] = []
     for f in fractions:
@@ -699,14 +734,14 @@ def training_curve(
             demos = balance_dataset(sub, seed=config.bc.seed)
             model = train_bc(demos, config.bc, energy=config.energy)
             learners.append(("bc", f, _build_policy("bc", config, None, model)))
-    scored = _score(config, [(name, policy) for name, _, policy in learners], cache_dir)
+    scored = _score(config, [(name, policy) for name, _, policy in learners], outdir)
     points: List[CurvePoint] = []
     for (name, f, _), rows in zip(learners, scored):
         pcts = [r.pct_of_dp for r in rows]
         points.append(CurvePoint(name, f, _mean(pcts), min(pcts), max(pcts)))
     if progress:
         for f in fractions:
-            got = [p for p in points if abs(p.fraction - f) < 1e-12]
+            got = [p for p in points if p.fraction == f]
             print(f"fraction {f}: " + ", ".join(f"{p.learner} {p.mean_pct:.2f}%" for p in got))
     return points
 

@@ -98,7 +98,7 @@ def _cmd_dp(args) -> int:
 
 def _cmd_train_q(args) -> int:
     config = dataclasses.replace(_load_base_config(args), roster=("qlearn",))
-    strips = list(config.datasets.strips("train"))
+    strips = list(config.datasets.strips("train", args.out))
     train_learners(config, strips, args.out)
     print(f"{Path(args.out) / QTABLE_FILE}  trained on {len(strips)} strips")
     return EXIT_OK
@@ -106,7 +106,7 @@ def _cmd_train_q(args) -> int:
 
 def _cmd_train_bc(args) -> int:
     config = dataclasses.replace(_load_base_config(args), roster=("bc",))
-    strips = list(config.datasets.strips("train"))
+    strips = list(config.datasets.strips("train", args.out))
     _, model = train_learners(config, strips, args.out, progress=True)
     print(f"{Path(args.out) / MODEL_FILE}  layers {'x'.join(str(s) for s in model.layer_sizes)}")
     return EXIT_OK
@@ -138,7 +138,7 @@ def _cmd_latency(args) -> int:
     if set(config.roster) <= {"dp"}:
         raise ConfigError("latency needs a policy other than dp in the roster")
     policies = prepare_bench(config, args.out)
-    strip = next(config.datasets.strips("test"))
+    strip = next(config.datasets.strips("test", args.out))
     kinds = _field_types(LatencyStats)
     print(",".join(["policy", *kinds]))
     for name, policy in policies:

@@ -21,11 +21,19 @@ Binary layout (little-endian throughout):
 An optional sidecar ``<path>.manifest`` holds UTF-8 ``key=value`` lines
 describing how the strip was produced.  It is informational only; loading
 never reads it.
+
+A keyed strip file (a benchmark's saved copy of a generated strip) has
+the same layout with magic b"DTS1" and two more header fields:
+
+    bytes 16..47  the strip key, ``strip_key`` of its generator params
+    bytes 48..79  the strip's ``EnvStrip.digest()``
+    bytes 80..    one class byte per cell, column by column
 """
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -174,6 +182,12 @@ class GenParams:
 # ---------------------------------------------------------------------------
 # generation
 # ---------------------------------------------------------------------------
+
+# The generator's identity: the sha256 of the eight strip digests, as raw
+# bytes in their listed order, that tests/test_world.py pins, one per
+# generator branch.  A change to the generator's output has to edit those
+# pins and so this constant, which is part of every strip key.
+GENERATOR_ID = "1013e5ef303ff4577a620cdbb9f2f66bf0ac86df942d33eb58dfd28972001b1d"
 
 # Growth runs on one flat bytearray of (h + 2) x (w + 2) cells: the strip
 # inside a one-cell wall of _WALL, a byte that is no class.  Cell (r, c)
@@ -347,6 +361,9 @@ def class_fractions(strip: EnvStrip) -> Tuple[float, float, float]:
 # serialization
 # ---------------------------------------------------------------------------
 
+STRIP_MAGIC = b"DTS1"
+STRIP_HEADER = struct.Struct("<4sIIf32s32s")
+
 # A learner file's key: sha256 hex digests of the strips it was trained
 # on, in order, of the models it was trained under and of its training
 # params.  A learner trained outside a benchmark run names no inputs.
@@ -374,26 +391,68 @@ def check_size(data: bytes, expected: int) -> None:
         raise FormatError("trailing bytes after payload", offset=expected)
 
 
+def _replace(path: Path, parts) -> None:
+    """Write ``parts`` in turn to a temporary file beside ``path``, then
+    move it onto ``path``, so ``path`` never holds part of a file.
+
+    The parts go out as separate writes, so a large payload is never
+    copied to join them.  On any failure the temporary file is removed.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                fh.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_file(path, header: bytes, payload,
                manifest: Optional[Mapping[str, object]] = None) -> None:
     """Write ``header`` then ``payload`` (any C-contiguous buffer) to
     ``path``, and the ``<path>.manifest`` sidecar when there is a manifest.
 
-    The two parts go out as two writes, so a large payload is never
-    copied to join them.
+    Each file is replaced whole or not at all: an interrupted write leaves
+    the previous file, or none, at its name.
     """
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    path = Path(path)
+    _replace(path, (header, payload))
     if manifest is not None:
         lines = [f"{k}={v}\n" for k, v in manifest.items()]
-        Path(str(path) + ".manifest").write_text("".join(lines), encoding="utf-8")
+        _replace(Path(f"{path}.manifest"), ("".join(lines).encode("utf-8"),))
 
 
 def save_dataset(strip: EnvStrip, path, manifest: Optional[Mapping[str, object]] = None) -> None:
     """Write ``strip`` to ``path``; optionally write a manifest sidecar."""
     write_file(path, HEADER.pack(MAGIC, strip.height, strip.length, strip.pixel_size_km),
                strip.cells.tobytes(order="F"), manifest)
+
+
+def _strip_from(data: bytes, offset: int, h: int, w: int, px: float) -> EnvStrip:
+    """The ``h`` x ``w`` strip whose class bytes, column by column, fill
+    ``data`` from ``offset`` to its end.
+
+    Raises FormatError naming the byte offset on nonsense dimensions or
+    pixel size, a truncated payload, trailing bytes or an invalid class
+    byte.
+    """
+    if h == 0 or w == 0 or h * w > MAX_CELLS:
+        raise FormatError(f"unreasonable dimensions {h}x{w}", offset=4)
+    if h % 2 == 0:
+        raise FormatError(f"height must be odd, got {h}", offset=4)
+    if not (px > 0):
+        raise FormatError(f"pixel size must be positive, got {px}", offset=12)
+    check_size(data, offset + h * w)
+    flat = np.frombuffer(data, dtype=np.uint8, count=h * w, offset=offset)
+    bad = np.nonzero(flat >= N_CLASSES)[0]
+    if bad.size:
+        raise FormatError(
+            f"invalid class byte {flat[bad[0]]}", offset=offset + int(bad[0])
+        )
+    cells = flat.reshape((w, h)).T
+    return EnvStrip(cells, pixel_size_km=float(px))
 
 
 def load_dataset(path) -> EnvStrip:
@@ -404,18 +463,37 @@ def load_dataset(path) -> EnvStrip:
     size, or an invalid class byte.
     """
     data, (h, w, px) = read_checked(path, MAGIC, HEADER)
-    if h == 0 or w == 0 or h * w > MAX_CELLS:
-        raise FormatError(f"unreasonable dimensions {h}x{w}", offset=4)
-    if h % 2 == 0:
-        raise FormatError(f"height must be odd, got {h}", offset=4)
-    if not (px > 0):
-        raise FormatError(f"pixel size must be positive, got {px}", offset=12)
-    check_size(data, HEADER.size + h * w)
-    flat = np.frombuffer(data, dtype=np.uint8, count=h * w, offset=HEADER.size)
-    bad = np.nonzero(flat >= N_CLASSES)[0]
-    if bad.size:
-        raise FormatError(
-            f"invalid class byte {flat[bad[0]]}", offset=HEADER.size + int(bad[0])
-        )
-    cells = flat.reshape((w, h)).T
-    return EnvStrip(cells, pixel_size_km=float(px))
+    return _strip_from(data, HEADER.size, h, w, px)
+
+
+def strip_key(params: GenParams) -> str:
+    """Key of ``generate_synthetic(params)`` for a keyed strip file: a
+    sha256 over every ``GenParams`` field, the generator's identity
+    (``GENERATOR_ID``) and the numpy version, since numpy does not
+    promise the same random streams across releases."""
+    text = "\n".join((repr(params), GENERATOR_ID, np.__version__))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def save_keyed_strip(strip: EnvStrip, key: str, path) -> None:
+    """Write ``strip`` to ``path`` as a keyed strip file under ``key``."""
+    header = STRIP_HEADER.pack(STRIP_MAGIC, strip.height, strip.length, strip.pixel_size_km,
+                               bytes.fromhex(key), bytes.fromhex(strip.digest()))
+    write_file(path, header, strip.cells.tobytes(order="F"))
+
+
+def load_keyed_strip(path, key: str) -> Optional[EnvStrip]:
+    """The strip saved at ``path`` under ``key``, else None.
+
+    None when there is no file at ``path``, when it fails to parse, when
+    it was saved under another key, or when its cells do not hash to the
+    digest its header stores; so a damaged file is never returned.
+    """
+    try:
+        data, (h, w, px, saved_key, digest) = read_checked(path, STRIP_MAGIC, STRIP_HEADER)
+        if saved_key.hex() != key:
+            return None
+        strip = _strip_from(data, STRIP_HEADER.size, h, w, px)
+    except (FileNotFoundError, FormatError):
+        return None
+    return strip if strip.digest() == digest.hex() else None

@@ -48,7 +48,8 @@ from dyntarget.bench import (
     train_learners,
 )
 from dyntarget.dp import models_digest
-from dyntarget.world import UNKEYED, GenParams, generate_synthetic
+from dyntarget import world
+from dyntarget.world import UNKEYED, GenParams, generate_synthetic, strip_key
 from dyntarget.errors import ConfigError, ParameterError
 
 TINY = dataclasses.replace(
@@ -488,6 +489,117 @@ def test_learners_are_retrained_exactly_when_their_inputs_change(tmp_path, bench
     assert [dataclasses.replace(r, mean_decide_us=0.0) for r in report.rows] == [
         dataclasses.replace(r, mean_decide_us=0.0) for r in fresh.rows
     ]
+
+
+# ---------------------------------------------------------------------------
+# strip files
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def generated(monkeypatch):
+    """The params of every strip the benchmark generates, in order."""
+    calls = []
+
+    def counted(params, _real=bench.generate_synthetic):
+        calls.append(params)
+        return _real(params)
+
+    monkeypatch.setattr(bench, "generate_synthetic", counted)
+    return calls
+
+
+KEY_PARAMS = GenParams(height=5, length=40, seed=3)
+KEY_CHANGES = dict(height=7, length=41, prevalence=(0.6, 0.3, 0.1),
+                   blob_radius=(3.0, 4.0, 13.0), pixel_size_km=6.0, seed=4)
+
+
+def test_every_gen_param_is_a_strip_key_case():
+    assert list(KEY_CHANGES) == [f.name for f in dataclasses.fields(GenParams)]
+
+
+@pytest.mark.parametrize("change", [*KEY_CHANGES, "numpy", "generator"])
+def test_a_strip_file_misses_when_any_key_input_changes(tmp_path, monkeypatch, generated,
+                                                        change):
+    bench._strip_for(KEY_PARAMS, tmp_path)
+    hit = bench._strip_for(KEY_PARAMS, tmp_path)
+    assert generated == [KEY_PARAMS]
+    assert hit.digest() == generate_synthetic(KEY_PARAMS).digest()
+    params = KEY_PARAMS
+    if change == "numpy":
+        monkeypatch.setattr(np, "__version__", "0.0.0")
+    elif change == "generator":
+        monkeypatch.setattr(world, "GENERATOR_ID", "0" * 64)
+    else:
+        params = dataclasses.replace(KEY_PARAMS, **{change: KEY_CHANGES[change]})
+    bench._strip_for(params, tmp_path)
+    assert generated == [KEY_PARAMS, params]
+    assert len(list(tmp_path.glob("*.dts"))) == 2
+
+
+def stable_outputs(out):
+    """What a run leaves in ``out`` that must not depend on the strip
+    files: report.csv without its latency column, report.md, both
+    learner files and the dp_cache/ names."""
+    csv = [line.rsplit(",", 1)[0] for line in (out / "report.csv").read_text().splitlines()]
+    files = [(out / name).read_bytes() for name in ("report.md", QTABLE_FILE, MODEL_FILE)]
+    return csv, files, sorted(p.name for p in (out / "dp_cache").iterdir())
+
+
+def test_strip_files_change_no_output(tmp_path, monkeypatch, generated):
+    plain = tmp_path / "plain"
+    with monkeypatch.context() as m:
+        m.setattr(bench, "_strip_for", lambda params, strip_dir: generate_synthetic(params))
+        emit_report(run_benchmark(LEARNERS, outdir=plain), plain)
+    assert not (plain / "strips").exists()
+    expected = stable_outputs(plain)
+    ds = LEARNERS.datasets
+    out = tmp_path / "out"
+    emit_report(run_benchmark(LEARNERS, outdir=out), out)
+    assert len(generated) == ds.train_count + ds.test_count
+    assert len(list((out / "strips").glob("*.dts"))) == len(generated)
+    assert stable_outputs(out) == expected
+    generated.clear()
+    emit_report(run_benchmark(LEARNERS, outdir=out), out)
+    training_curve(LEARNERS, [1.0], outdir=out)
+    assert generated == []  # every strip was read back
+    assert stable_outputs(out) == expected
+
+
+def test_configured_paths_write_no_strip_files(tmp_path):
+    datasets = dataclasses.replace(TINY, train_paths=strip_files(tmp_path, (100,)),
+                                   test_paths=strip_files(tmp_path, (5000,)))
+    run_benchmark(BenchConfig(roster=("greedy_radar", "dp"), datasets=datasets),
+                  outdir=tmp_path / "out")
+    assert (tmp_path / "out" / "dp_cache").is_dir()
+    assert not (tmp_path / "out" / "strips").exists()
+
+
+@pytest.mark.parametrize("how", ["truncated", "flipped_cell", "other_key"])
+def test_a_damaged_strip_file_is_regenerated_not_scored(tmp_path, generated, how):
+    config = BenchConfig(roster=("greedy_radar", "dp"), datasets=TINY)
+    ds = config.datasets
+    out = tmp_path / "out"
+
+    def rows():
+        report = run_benchmark(config, outdir=out)
+        return [dataclasses.replace(r, mean_decide_us=0.0) for r in report.rows]
+
+    def strip_file(seed):
+        return out / "strips" / f"{strip_key(ds.gen_params(seed))[:32]}.dts"
+
+    first = rows()
+    good = strip_file(ds.test_seed0).read_bytes()
+    if how == "truncated":
+        bad = good[:-1]
+    elif how == "flipped_cell":  # a valid class, so only the digest tells
+        bad = good[:-1] + bytes([(good[-1] + 1) % 3])
+    else:  # test01's file, under its own key, at test00's name
+        bad = strip_file(ds.test_seed0 + 1).read_bytes()
+    strip_file(ds.test_seed0).write_bytes(bad)
+    generated.clear()
+    assert rows() == first
+    assert generated == [ds.gen_params(ds.test_seed0)]
+    assert strip_file(ds.test_seed0).read_bytes() == good
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from dyntarget import (
     QTable,
     bench,
+    dp,
     init_mlp,
     load_dataset,
     load_dp_table,
@@ -19,6 +20,7 @@ from dyntarget import (
 )
 from dyntarget.bench import LatencyStats
 from dyntarget.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RESOURCE, main
+from dyntarget import world
 from dyntarget.world import HEADER, MAGIC, UNKEYED
 
 TINY_CFG = """
@@ -275,6 +277,20 @@ def test_a_corrupt_learner_file_is_a_data_error(tmp_path, cfg, capsys, name):
     assert f"payload (byte offset {len(good) - 8})" in capsys.readouterr().err
 
 
+def test_an_interrupted_table_write_leaves_nothing_at_its_name(tmp_path, cfg, monkeypatch):
+    def interrupted(path, header, payload, manifest=None):
+        # the header goes out, then writing the payload raises
+        world.write_file(path, header, object(), manifest)
+
+    out = tmp_path / "out"
+    with monkeypatch.context() as m:
+        m.setattr(dp, "write_file", interrupted)
+        with pytest.raises(TypeError):
+            main(["eval", "--config", cfg(LEARNER_ROSTER), "--out", str(out)])
+    assert list((out / "dp_cache").iterdir()) == []
+    assert main(["eval", "--config", cfg(LEARNER_ROSTER), "--out", str(out)]) == EXIT_OK
+
+
 def test_eval_seed_override_moves_the_random_policy(tmp_path, cfg):
     extra = "roster = random, dp\n"
 
@@ -348,6 +364,22 @@ def test_commands_refuse_a_roster_that_leaves_them_nothing_to_do(tmp_path, monke
     assert "roster" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()  # no dp_cache/, report or curve
+
+
+def test_curve_refuses_a_repeated_fraction(tmp_path, monkeypatch, cfg, capsys):
+    calls = []
+
+    def counted(spec, role, *args, _real=bench.DatasetSpec.strips):
+        calls.append(role)
+        return _real(spec, role, *args)
+
+    monkeypatch.setattr(bench.DatasetSpec, "strips", counted)
+    out = tmp_path / "o"
+    code = main(["curve", "--config", cfg(), "--fractions", "0.5,0.5", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "repeated fraction" in capsys.readouterr().err
+    assert calls == []  # no strip generated or read
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, generated, planned", [

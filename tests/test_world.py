@@ -1,5 +1,6 @@
 """Strip generation and the dataset file format."""
 import contextlib
+import hashlib
 import signal
 
 import numpy as np
@@ -15,8 +16,17 @@ from dyntarget import (
     load_dataset,
     save_dataset,
 )
+from dyntarget import world
 from dyntarget.errors import FormatError, ParameterError, ResourceError
-from dyntarget.world import HEADER, MAGIC, _place_cores
+from dyntarget.world import (
+    HEADER,
+    MAGIC,
+    _place_cores,
+    load_keyed_strip,
+    save_keyed_strip,
+    strip_key,
+    write_file,
+)
 
 
 def uniform(height, length, cls):
@@ -102,7 +112,7 @@ class StuckRng:
 
 # Recorded from the numpy-grid generator.  Seeds, dp_cache keys and every
 # report depend on these bytes, so a rewrite must reproduce them exactly.
-@pytest.mark.parametrize("kwargs, stuck, digest", [
+PINNED = [
     (dict(height=31, length=400, seed=1), False,
      "cfe74f80b2fabc289b1ee794e08854e1fae7bb74649260ac757dec79d1b7c48d"),
     (dict(height=1, length=50, seed=0), False,
@@ -121,12 +131,23 @@ class StuckRng:
     (dict(height=3, length=9, prevalence=(0.34, 0.33, 0.33),
           blob_radius=(0.5, 0.5, 0.5)), True,
      "8c848d2dacdaf88d546cb15d743295e441349526392785a77e05a76acd29a863"),
-], ids=["cores-shells", "height-1", "lone-class", "degenerate", "core-walk",
-        "tiny-board", "stuck-blob-fallback", "stuck-core-walk"])
+]
+
+
+@pytest.mark.parametrize("kwargs, stuck, digest", PINNED,
+                         ids=["cores-shells", "height-1", "lone-class", "degenerate", "core-walk",
+                              "tiny-board", "stuck-blob-fallback", "stuck-core-walk"])
 def test_generated_strips_are_pinned(monkeypatch, kwargs, stuck, digest):
     if stuck:
         monkeypatch.setattr(np.random, "default_rng", StuckRng)
     assert generate_synthetic(GenParams(**kwargs)).digest() == digest
+
+
+def test_the_generator_identity_hashes_the_pinned_digests():
+    # a change to the generator's output edits the pins above, so it also
+    # changes the identity, and with it every strip key
+    pins = b"".join(bytes.fromhex(digest) for _, _, digest in PINNED)
+    assert world.GENERATOR_ID == hashlib.sha256(pins).hexdigest()
 
 
 @contextlib.contextmanager
@@ -347,3 +368,58 @@ def test_digest_tracks_content():
     b = EnvStrip(cells)
     assert a.digest() != b.digest()
     assert a.digest() == uniform(3, 4, RewardClass.LOW).digest()
+
+
+# ---------------------------------------------------------------------------
+# keyed strip files and interrupted writes
+# ---------------------------------------------------------------------------
+
+KEY_PARAMS = GenParams(height=5, length=40, seed=3)
+
+
+def test_a_keyed_strip_reads_back_only_under_its_key(tmp_path):
+    strip = generate_synthetic(KEY_PARAMS)
+    key = strip_key(KEY_PARAMS)
+    path = tmp_path / "s.dts"
+    assert load_keyed_strip(path, key) is None  # no file
+    save_keyed_strip(strip, key, path)
+    back = load_keyed_strip(path, key)
+    assert np.array_equal(back.cells, strip.cells)
+    assert back.pixel_size_km == strip.pixel_size_km
+    assert back.digest() == strip.digest()
+    assert load_keyed_strip(path, strip_key(GenParams(height=5, length=40, seed=4))) is None
+
+
+def damaged(data, how):
+    data = bytearray(data)
+    if how == "truncated":
+        return bytes(data[:-1])
+    if how == "trailing":
+        return bytes(data) + b"\0"
+    if how == "magic":
+        data[:4] = MAGIC  # a .dtg magic
+    elif how == "class_byte":
+        data[-1] = 3
+    elif how == "flipped_cell":  # still a valid class, so it parses
+        data[-1] = (data[-1] + 1) % 3
+    return bytes(data)
+
+
+@pytest.mark.parametrize("how", ["truncated", "trailing", "magic", "class_byte",
+                                 "flipped_cell"])
+def test_a_damaged_keyed_strip_file_reads_as_none(tmp_path, how):
+    key = strip_key(KEY_PARAMS)
+    path = tmp_path / "s.dts"
+    save_keyed_strip(generate_synthetic(KEY_PARAMS), key, path)
+    path.write_bytes(damaged(path.read_bytes(), how))
+    assert load_keyed_strip(path, key) is None
+
+
+def test_an_interrupted_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "a.dtg"
+    save_dataset(uniform(3, 4, RewardClass.MID), path, manifest={"seed": 1})
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    # the header goes out, then writing the payload raises
+    with pytest.raises(TypeError):
+        write_file(path, HEADER.pack(MAGIC, 3, 4, 7.0), object(), manifest={"seed": 2})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
