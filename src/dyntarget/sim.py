@@ -629,6 +629,7 @@ def _rollout(
     new_obs = Observation._unchecked
     new_tuple = tuple.__new__  # a StepRecord without the NamedTuple's __new__
     OFF, SAMPLE = Action.OFF, Action.SAMPLE
+    length = strip.length
     for _ in range(n_steps):
         obs = new_obs(strip, geom, t, soc, index)
         t0 = perf()
@@ -651,7 +652,7 @@ def _rollout(
             reward = 0.0
         steps.append(new_tuple(StepRecord, (t, soc, action, cls, reward)))
         soc, t = next_soc, t + 1
-        if t > strip.length:
+        if t > length:
             soc, t = soc0, 1
     total = 0.0
     for reward in reversed(sampled):  # the planner's summation order

@@ -195,6 +195,59 @@ GENERATOR_ID = "1013e5ef303ff4577a620cdbb9f2f66bf0ac86df942d33eb58dfd28972001b1d
 # free exactly when it holds the background byte, with no bounds check.
 _WALL = 255
 
+# Raw words per block of BlockIntegers: the first block is small, since a
+# small blob or core takes only a few draws, and each refill doubles up to
+# the cap, so a shell's ~10^5 draws never hold more than a few thousand
+# words as Python ints at once.
+_FIRST_BLOCK = 32
+_MAX_BLOCK = 4096
+
+
+class BlockIntegers:
+    """``rng.integers(n)``, for 1 <= n <= 2**31, drawn from blocks of raw
+    32-bit words: the same values, and after :meth:`close` the same
+    generator state, as the scalar calls.
+
+    ``rng.integers(0, 2**32, size=k, dtype=np.uint32)`` is numpy's raw
+    32-bit word stream, and for such ``n`` numpy turns words into an index
+    by Lemire's rule: with ``m = word * n``, accept when the low 32 bits
+    of ``m`` are at least ``(2**32 - n) % n``, else take the next word;
+    the index is ``m >> 32``.  ``n == 1`` takes no word.  A block may hold
+    words no draw used, so :meth:`close` rewinds the generator to the
+    last block's start and draws again only the words that were used.
+    """
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._block = []
+        self._used = 0
+        self._start = None  # generator state before the last block
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        while True:
+            if self._used == len(self._block):
+                self._refill()
+            m = self._block[self._used] * n
+            self._used += 1
+            low = m & 0xFFFFFFFF
+            if low >= n or low >= (0x100000000 - n) % n:
+                return m >> 32
+
+    def _refill(self) -> None:
+        size = min(2 * len(self._block), _MAX_BLOCK) if self._block else _FIRST_BLOCK
+        self._start = self._rng.bit_generator.state
+        self._block = self._rng.integers(0, 1 << 32, size=size, dtype=np.uint32).tolist()
+        self._used = 0
+
+    def close(self) -> None:
+        """Leave the generator exactly as many words on as were used.
+        Call it once, after the last draw."""
+        if self._used < len(self._block):
+            self._rng.bit_generator.state = self._start
+            self._rng.integers(0, 1 << 32, size=self._used, dtype=np.uint32)
+
 
 def _grow_region(board, stride, cls, budget, background, rng, frontier, placed=0) -> int:
     """Claim up to ``budget`` background cells reachable from ``frontier``.
@@ -205,12 +258,13 @@ def _grow_region(board, stride, cls, budget, background, rng, frontier, placed=0
     randomized for organic edges.  Returns the claimed-cell count.
     """
     steps = (-stride, stride, -1, 1)  # up, down, left, right
-    draw = rng.integers
+    draws = BlockIntegers(rng)
+    draw = draws.integers
     pop = frontier.pop
     push = frontier.append
     while placed < budget and frontier:
         # take the drawn cell; the last one moves into its slot
-        i = int(draw(len(frontier)))
+        i = draw(len(frontier))
         p = frontier[i]
         frontier[i] = frontier[-1]
         pop()
@@ -222,6 +276,7 @@ def _grow_region(board, stride, cls, budget, background, rng, frontier, placed=0
                 push(q)
                 if placed == budget:
                     break
+    draws.close()
     return placed
 
 

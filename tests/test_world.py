@@ -2,6 +2,7 @@
 import contextlib
 import hashlib
 import signal
+import types
 
 import numpy as np
 import pytest
@@ -94,13 +95,18 @@ class StuckRng:
 
     Each blob seed then lands on cell (0, 0) and each core on the same
     row, so small boards reach the rejection sampler's full-scan
-    fallback and the core placer's walk to the next free column.
+    fallback and the core placer's walk to the next free column.  A
+    block of raw words (a ``size=`` draw) is all 1s, which Lemire's rule
+    turns into index 0 for every n; a word of 0 would be rejected for
+    ever whenever 2**32 % n is not 0.
     """
 
     def __init__(self, seed):
-        pass
+        self.bit_generator = types.SimpleNamespace(state={})
 
-    def integers(self, low, high=None):
+    def integers(self, low, high=None, size=None, dtype=None):
+        if size is not None:
+            return np.ones(size, dtype=np.uint32)
         return np.int64(0 if high is None else low)
 
     def random(self):
@@ -143,11 +149,58 @@ def test_generated_strips_are_pinned(monkeypatch, kwargs, stuck, digest):
     assert generate_synthetic(GenParams(**kwargs)).digest() == digest
 
 
+def test_a_long_strip_is_pinned():
+    # outside PINNED, so GENERATOR_ID and every strip key stay as they
+    # are: 129k draws cross many word-block refills.  None of them is
+    # rejected (for n up to ~10^5 the chance is under 3e-5 a draw), so
+    # the rejection branch is left to the block-draw test below.
+    strip = generate_synthetic(GenParams(length=10000, seed=0))
+    assert strip.digest() == "89dca58daa574a49e852d0f0cffb6547dbf07d8de5c4ad4898e45cce242adb30"
+
+
 def test_the_generator_identity_hashes_the_pinned_digests():
     # a change to the generator's output edits the pins above, so it also
     # changes the identity, and with it every strip key
     pins = b"".join(bytes.fromhex(digest) for _, _, digest in PINNED)
     assert world.GENERATOR_ID == hashlib.sha256(pins).hexdigest()
+
+
+N_VALUES = [1, 2, 3, 7, 1000, 2**16 + 1, 2**30 + 3, 2**31]
+FIRST = world._FIRST_BLOCK
+
+DRAW_SEQUENCES = {
+    "none": [],
+    "ones": [1] * 5,  # n == 1 takes no word
+    "every-n": [N_VALUES[i % len(N_VALUES)] for i in range(10_000)],  # past the cap
+    "first-block-exactly": [2] * FIRST,  # powers of two are never rejected
+    "one-past-a-block": [2] * (FIRST + 1),
+    "rejections": [2**30 + 3] * 3000,  # about 1 word in 4 is rejected
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+@pytest.mark.parametrize("ns", DRAW_SEQUENCES.values(), ids=DRAW_SEQUENCES.keys())
+def test_block_draws_are_numpys_scalar_draws(seed, ns):
+    want = np.random.default_rng(seed)
+    expected = [int(want.integers(n)) for n in ns]
+    rng = np.random.default_rng(seed)
+    draws = world.BlockIntegers(rng)
+    assert [draws.integers(n) for n in ns] == expected
+    draws.close()
+    assert rng.bit_generator.state == want.bit_generator.state
+    assert rng.random() == want.random()
+
+
+def test_the_rejection_sequence_rejects_words():
+    # numpy's own draws take more words than there are draws, so the
+    # rejection branch is what the "rejections" sequence tests
+    ns = DRAW_SEQUENCES["rejections"]
+    scalar = np.random.default_rng(0)
+    for n in ns:
+        scalar.integers(n)
+    one_word_each = np.random.default_rng(0)
+    one_word_each.integers(0, 1 << 32, size=len(ns), dtype=np.uint32)
+    assert scalar.bit_generator.state != one_word_each.bit_generator.state
 
 
 @contextlib.contextmanager
