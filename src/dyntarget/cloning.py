@@ -55,6 +55,9 @@ _EPS = 1e-12
 # 0-d operands: a ufunc takes these more cheaply than a Python float
 _ZERO, _ONE = np.zeros(()), np.ones(())
 _LOSS_BLOCK_ROWS = 4096  # training rows whose losses are summed in one pass
+# Action's members as module globals, for decide: reading one off the
+# enum class costs about 0.1 us
+_OFF, _SAMPLE = Action.OFF, Action.SAMPLE
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +246,20 @@ def _forward_row(layers: Sequence[tuple], x: np.ndarray) -> float:
     (weights, biases, out) per layer, ``out`` a 1-D buffer for that
     layer's output or None for a fresh array.
 
-    A 1-D operand takes the same BLAS kernel as a (1, n) row, so each
-    layer's output matches the batch form's for a one-row batch bit for
-    bit; the bias add then has matching shapes.
+    ``np.dot`` of a 1-D row and a matrix runs the same BLAS kernel as
+    ``np.matmul`` of the pair and as the batch form's ``np.dot`` on a
+    (1, n) row, so each layer's output matches both bit for bit
+    (``test_single_row_forward_matches_matmul_and_the_batch_form``);
+    ``np.dot`` only dispatches faster.  The bias add then has matching
+    shapes.
     """
     last = len(layers) - 1
     z = x
     for i, (w, b, out) in enumerate(layers):
-        z = np.matmul(z, w, out=out)
+        z = np.dot(z, w, out=out)
         np.add(z, b, out=z)  # the ufunc call: `z += b` dispatches slower
         if i < last:
-            np.maximum(z, 0.0, out=z)
+            np.maximum(z, _ZERO, out=z)
     # _sigmoid's formula on one numpy scalar: np.exp runs the same kernel
     # as on an array, and scalar arithmetic rounds as the array ufuncs do
     logit = z[0]
@@ -676,7 +682,7 @@ class _BCPolicy(Policy):
         self.model = model
         self.mode = mode
         self.seed = seed
-        self.energy = energy
+        self._floor = energy.sample_discharge
         # one input row and one output buffer per layer, reused by every
         # decision: featurize_bc and mlp_forward's single-row path, in place
         sizes = model.layer_sizes
@@ -698,12 +704,12 @@ class _BCPolicy(Policy):
         return _forward_row(self._layers, x)
 
     def decide(self, obs: Observation) -> Action:
-        if obs.soc < self.energy.sample_discharge:
-            return Action.OFF
+        if obs.soc < self._floor:
+            return _OFF
         p = self._probability(obs)
         if self.mode == "stochastic":
-            return Action.SAMPLE if self._rng.random() < p else Action.OFF
-        return Action.SAMPLE if p >= 0.5 else Action.OFF
+            return _SAMPLE if self._rng.random() < p else _OFF
+        return _SAMPLE if p >= 0.5 else _OFF
 
 
 def bc_policy(

@@ -12,8 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .sim import Action, EnergyModel, Observation, Placement, Policy, sampled_class
+from .sim import Action, EnergyModel, Observation, Placement, Policy
 from .world import RewardClass
+
+# Action's members as module globals, for decide: reading one off the
+# enum class costs about 0.1 us
+_OFF, _SAMPLE = Action.OFF, Action.SAMPLE
 
 
 @dataclass(frozen=True)
@@ -60,8 +64,8 @@ class _RandomPolicy(Policy):
 
     def decide(self, obs: Observation) -> Action:
         if obs.soc < self.energy.sample_discharge:
-            return Action.OFF
-        return Action.SAMPLE if self._rng.random() < self.p_sample else Action.OFF
+            return _OFF
+        return _SAMPLE if self._rng.random() < self.p_sample else _OFF
 
 
 class _GreedyThreshold(Policy):
@@ -70,13 +74,12 @@ class _GreedyThreshold(Policy):
     def __init__(self, name, placement, rule: ThresholdRule, energy: EnergyModel):
         self.name = name
         self.placement = placement
-        self.rule = rule
-        self.energy = energy
+        # the charge a sample of each class needs, by class
+        self._needs = tuple(max(energy.sample_discharge, rule.need(c)) for c in RewardClass)
 
     def decide(self, obs: Observation) -> Action:
-        cls = sampled_class(obs.index, obs.t, self.placement)
-        need = max(self.energy.sample_discharge, self.rule.need(cls))
-        return Action.SAMPLE if obs.soc >= need else Action.OFF
+        cls = obs.index.columns.sampled[self.placement][obs.t - 1]
+        return _SAMPLE if obs.soc >= self._needs[cls] else _OFF
 
 
 class _GreedyWindow(Policy):
@@ -98,28 +101,28 @@ class _GreedyWindow(Policy):
         d = self.energy.sample_discharge
         r = self.energy.recharge_per_step
         if obs.soc < d:
-            return Action.OFF
-        idx = obs.index
+            return _OFF
+        columns = obs.index.columns
         t0 = obs.t - 1
-        r_now = int(idx.radar_best[t0])
-        window_cols = int(idx.win_cols[t0])
+        _, _, disc = columns.sampled
+        r_now = disc[t0]
+        window_cols = columns.win_cols[t0]
 
         budget = (obs.soc - d) // (d - r) + window_cols * r // d
         budget = min(budget, window_cols + 1)
         if budget < 1:
-            return Action.OFF
+            return _OFF
 
         # counts of per-column best classes over the window, plus now
-        lo, hi1 = idx.win_lo[t0], idx.win_hi1[t0]
-        n_high = int(idx.win_best_cum[2, hi1] - idx.win_best_cum[2, lo]) + (r_now == 2)
-        n_mid = int(idx.win_best_cum[1, hi1] - idx.win_best_cum[1, lo]) + (r_now == 1)
+        n_high = columns.win_high[t0] + (r_now == 2)
+        n_mid = columns.win_mid[t0] + (r_now == 1)
         if budget <= n_high:
             cutoff = 2
         elif budget <= n_high + n_mid:
             cutoff = 1
         else:
             cutoff = 0
-        return Action.SAMPLE if r_now >= cutoff else Action.OFF
+        return _SAMPLE if r_now >= cutoff else _OFF
 
 
 def random_policy(

@@ -16,7 +16,7 @@ import operator
 import time
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -190,14 +190,30 @@ def disc_offsets(radius: int) -> Tuple[Tuple[int, int, int], ...]:
 # per-strip summaries
 # ---------------------------------------------------------------------------
 
+class StripColumns(NamedTuple):
+    """Plain-Python lists of a StripIndex's per-column values, indexed by
+    0-based column: a list index costs a fraction of a numpy scalar
+    read, so per-step decisions read these."""
+
+    # the class a sample takes, by Placement: NADIR, LATERAL, DISC
+    sampled: Tuple[List[RewardClass], List[RewardClass], List[RewardClass]]
+    qflag: List[int]
+    win_cols: List[int]
+    win_high: List[int]
+    win_mid: List[int]
+
+
 class StripIndex:
     """Column-wise views of one strip under one geometry.
 
     Everything a per-step decision needs is precomputed here as flat
     arrays indexed by 0-based column, so episode loops stay O(1) per
-    step.  Instances are cached on the strip keyed by geometry, so an
-    index keeps the strip's cells but not the strip itself: a reference
-    back would make a cycle that only a full garbage collection frees.
+    step; ``columns`` holds the ones decisions read as Python lists.
+    ``win_high`` and ``win_mid`` count the lookahead window's columns
+    whose best class is High and Mid.  Instances are cached on the strip
+    keyed by geometry, so an index keeps the strip's cells but not the
+    strip itself: a reference back would make a cycle that only a full
+    garbage collection frees.
     """
 
     def __init__(self, strip: EnvStrip, geom: SensorGeometry):
@@ -266,13 +282,30 @@ class StripIndex:
         ).astype(np.uint8)
 
         col_any = colcnt > 0
-        column_best = np.where(col_any[2], 2, np.where(col_any[1], 1, 0)).astype(np.uint8)
-        iscls = np.stack([column_best == c for c in range(N_CLASSES)])
-        self.win_best_cum = np.zeros((N_CLASSES, t + 1), dtype=np.int64)
-        np.cumsum(iscls, axis=1, out=self.win_best_cum[:, 1:])
+        # prefix counts of columns whose best class is High, then Mid
+        best_cum = np.zeros((2, t + 1), dtype=np.int32)
+        np.cumsum([col_any[2], col_any[1] & ~col_any[2]], axis=1, dtype=np.int32,
+                  out=best_cum[:, 1:])
+        self.win_high, self.win_mid = best_cum[:, self.win_hi1] - best_cum[:, self.win_lo]
 
         self._col_any = col_any
         self._bc_features = None
+
+    @cached_property
+    def columns(self) -> StripColumns:
+        """The per-column lists a decision loop reads, built on first use
+        and kept with the index, so that no policy holds per-strip state."""
+
+        def classes(values: np.ndarray) -> List[RewardClass]:
+            return list(map(_CLASSES.__getitem__, values.tolist()))
+
+        return StripColumns(
+            (classes(self.nadir_class), classes(self.lateral_best), classes(self.radar_best)),
+            self.qflag.tolist(),
+            self.win_cols.tolist(),
+            self.win_high.tolist(),
+            self.win_mid.tolist(),
+        )
 
     # -- queries used by behavioral-cloning features ----------------------
 
@@ -444,9 +477,12 @@ class Policy:
 
     ``placement`` tells the simulator where this policy's samples land;
     ``reset`` restores any internal randomness to its seeded start so
-    repeated episodes are identical; ``prepare`` builds whatever the
-    policy reads from the strip's index before the first decision is
-    timed.
+    repeated episodes are identical; ``prepare`` builds, before the
+    first decision is timed, whatever else the policy reads from the
+    strip's index beyond ``index.columns``, which the episode loop
+    builds itself.  Whatever it builds stays on the index: a policy
+    holds no per-strip state, so it can decide on any strip's
+    Observation and keeps no strip alive after its episode.
     """
 
     name = "policy"
@@ -484,14 +520,20 @@ def best_target(
     raise AssertionError("footprint scan missed its own best class")
 
 
+def _placed(placement, nadir, lateral, disc):
+    """Whichever of ``nadir``, ``lateral`` and ``disc`` ``placement``
+    selects; a placement other than NADIR or LATERAL samples the disc."""
+    if placement == Placement.NADIR:
+        return nadir
+    if placement == Placement.LATERAL:
+        return lateral
+    return disc
+
+
 def sampled_class(index: StripIndex, t: int, placement: Placement) -> RewardClass:
     """Class actually sampled at timestep ``t`` under ``placement``."""
-    t0 = t - 1
-    if placement == Placement.NADIR:
-        return _CLASSES[index.nadir_class[t0]]
-    if placement == Placement.LATERAL:
-        return _CLASSES[index.lateral_best[t0]]
-    return _CLASSES[index.radar_best[t0]]
+    by_column = _placed(placement, index.nadir_class, index.lateral_best, index.radar_best)
+    return _CLASSES[by_column[t - 1]]
 
 
 def step(
@@ -601,21 +643,22 @@ def _rollout(
     n_steps: int,
 ) -> Tuple[EpisodeLog, List[int]]:
     """``policy``'s log over ``n_steps`` decisions, and each ``decide``
-    call's time in ns.  The policy is reset and prepared once, before
-    the first clock; past the strip's end the walk wraps to timestep 1
-    and charge ``soc0``.  Every step is built as the public
-    ``observe``/``step`` pair would build it, less their checks, which
-    the walk's own bounds make redundant."""
+    call's time in ns.  The index's column lists are built, and the
+    policy reset and prepared, once before the first clock; past the
+    strip's end the walk wraps to timestep 1 and charge ``soc0``.  Every
+    step is built as the public ``observe``/``step`` pair would build
+    it, less their checks, which the walk's own bounds make redundant."""
     if not (0 <= soc0 <= SOC_MAX):
         raise ParameterError(f"soc0 out of [0, {SOC_MAX}]: {soc0}")
     index = strip_index(strip, geom)
+    columns = index.columns
     reset = getattr(policy, "reset", None)
     if reset is not None:
         reset()
     prepare = getattr(policy, "prepare", None)
     if prepare is not None:  # one-off index work, outside the decide clock
         prepare(index)
-    placement = getattr(policy, "placement", Placement.DISC)
+    classes = _placed(getattr(policy, "placement", Placement.DISC), *columns.sampled)
     rule = charge_rule(energy).tolist()
     values = rewards.values().tolist()
 
@@ -642,7 +685,7 @@ def _rollout(
             wanted = _as_action(wanted, t)
         action, next_soc = run_as(rule, soc, wanted)
         if action is SAMPLE:
-            cls = sampled_class(index, t, placement)
+            cls = classes[t - 1]
             reward = values[cls]
             counts[cls] += 1
             sampled.append(reward)

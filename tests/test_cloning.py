@@ -42,6 +42,7 @@ from dyntarget.cloning import (
     MODEL_HEADER,
     MODEL_MAGIC,
     N_FEATURES,
+    _forward_row,
     _sigmoid,
     dominant_radar_class,
 )
@@ -279,6 +280,41 @@ def test_forward_row_matches_batch():
     assert batch.shape == (5,)
     for i in range(5):
         assert mlp_forward(model, x[i]) == pytest.approx(batch[i], abs=0, rel=1e-12)
+
+
+def test_single_row_forward_matches_matmul_and_the_batch_form():
+    """``_forward_row``'s ``np.dot`` layers against the ``np.matmul`` form
+    with a Python-float ReLU, and its probability against a one-row
+    batch, bit for bit: seeded models whose negative biases leave dead
+    units, on random rows, zero rows and rows of -0.0 entries."""
+    rng = np.random.default_rng(61)
+    rows = np.vstack([
+        rng.random((30, N_FEATURES)),
+        rng.normal(0.0, 2.0, (5, N_FEATURES)),
+        np.zeros((2, N_FEATURES)),
+        np.full((2, N_FEATURES), -0.0),
+        np.where(rng.random((3, N_FEATURES)) < 0.5, -0.0, rng.random((3, N_FEATURES))),
+    ])
+    compared = dead = 0
+    for seed in range(20):
+        model = init_mlp(seed=seed)
+        for b in model.biases:
+            b[:] = rng.normal(-0.3, 0.5, size=b.shape)
+        sizes = model.layer_sizes
+        layers = list(zip(model.weights, model.biases, [np.empty(k) for k in sizes[1:]]))
+        for x in rows:
+            p = _forward_row(layers, x)
+            z = x
+            for i, (w, b, out) in enumerate(layers):
+                z = np.matmul(z, w) + b
+                if i < len(layers) - 1:
+                    z = np.maximum(z, 0.0)
+                    dead += int(np.count_nonzero(z == 0.0))
+                assert np.array_equal(bits(out), bits(z)), (seed, i)
+                compared += len(z)
+            assert bits(p) == bits(mlp_forward(model, x[None])[0]), seed
+            assert bits(p) == bits(mlp_forward(model, x)), seed
+    assert compared > 50_000 and dead > 0
 
 
 def test_forward_rejects_wrong_width():

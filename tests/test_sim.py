@@ -1,6 +1,7 @@
 """Geometry, charge transitions, stepping, and episode bookkeeping."""
 import gc
 import math
+import sys
 import time
 import weakref
 
@@ -35,7 +36,7 @@ from dyntarget import (
 )
 from dyntarget.bench import BenchConfig, _build_policy
 from dyntarget.errors import EpisodeError, InfeasibleActionError, ParameterError
-from dyntarget.sim import SOC_MAX, StepRecord, disc_offsets, strip_index
+from dyntarget.sim import SOC_MAX, StepRecord, disc_offsets, sampled_class, strip_index
 
 ENERGY = EnergyModel()
 REWARDS = RewardModel()
@@ -338,6 +339,37 @@ def test_observation_queries_match_direct_recount(geom_small, seed, height, leng
         assert len(obs.radar_cells) == len(in_disc)
 
 
+@pytest.mark.parametrize("geom, height, length, seed", [
+    (SensorGeometry(), 9, 30, 1),  # a strip shorter than the 57 px lookahead
+    (SensorGeometry(), 31, 400, 2),
+    (SensorGeometry.from_pixels(2, 300), 9, 700, 3),  # window counts past one byte
+], ids=["short", "default", "wide"])
+def test_column_lists_mirror_the_index(geom, height, length, seed):
+    """The per-step lists equal the arrays they mirror, as plain ints and
+    RewardClass members, and each window count equals a count over the
+    window's per-column best class."""
+    cells = np.random.default_rng(seed).integers(0, 3, size=(height, length), dtype=np.uint8)
+    index = strip_index(EnvStrip(cells), geom)
+    columns = index.columns
+    assert index.columns is columns  # built once and kept
+    for placement, by_column in zip(Placement, columns.sampled):
+        assert all(type(c) is RewardClass for c in by_column)
+        assert by_column == [sampled_class(index, t, placement) for t in range(1, length + 1)]
+    for name in ("qflag", "win_cols", "win_high", "win_mid"):
+        values = getattr(columns, name)
+        assert all(type(v) is int for v in values), name
+        assert values == getattr(index, name).tolist(), name
+    column_best = cells.max(axis=0)
+    look = geom.lookahead_len_px
+    for t0 in range(length):
+        window = column_best[t0 + 1: min(t0 + 1 + look, length)]
+        assert columns.win_cols[t0] == len(window)
+        assert columns.win_high[t0] == np.count_nonzero(window == 2)
+        assert columns.win_mid[t0] == np.count_nonzero(window == 1)
+    if look > 255:
+        assert max(columns.win_high) > 255
+
+
 def test_strip_dies_without_a_collection_once_indexed(geom_small):
     """The index is cached on the strip, so a reference back would keep
     both alive until a full garbage collection."""
@@ -573,35 +605,85 @@ def reference_episode(strip, geom, energy, rewards, policy, soc0):
     return records, total, tuple(counts), violations
 
 
-def test_episodes_match_the_public_step_loop():
-    config = BenchConfig(seed=4)
-    geom, energy, rewards = config.geometry, config.energy, config.rewards
+def small_learners(config):
+    """A Q table and a cloner with non-zero biases, small and seeded."""
     train = generate_synthetic(GenParams(length=120, seed=100))
-    qtable = train_dp_sweep([train], config.qlearn, geom=geom, energy=energy, rewards=rewards)
+    qtable = train_dp_sweep([train], config.qlearn, geom=config.geometry,
+                            energy=config.energy, rewards=config.rewards)
     model = init_mlp(seed=5)
     for b in model.biases:
         b[:] = np.random.default_rng(6).normal(0.0, 0.3, size=b.shape)
-    strip = generate_synthetic(GenParams(length=300, seed=9))
-    policies = [_build_policy(name, config, qtable, model) for name in config.roster
-                if name != "dp"]
-    policies += [dp_policy(build_dp_table(strip, geom, energy, rewards), strip), SampleAlways()]
-    assert len(policies) == 9
+    return qtable, model
+
+
+def deployable_policies(config, qtable, model):
+    """New objects for the roster's policies other than dp."""
+    return [_build_policy(name, config, qtable, model) for name in config.roster
+            if name != "dp"]
+
+
+def test_episodes_match_the_public_step_loop():
+    """The same policy objects alternate between two strips of different
+    lengths; each of their episodes must equal one through the public
+    pair by a new object of the same policy, deciding on a copy of the
+    strip that nothing has indexed yet.  So no policy may carry what it
+    read from one strip to the next, and a first decide on an untouched
+    index must read what an episode reads."""
+    config = BenchConfig(seed=4)
+    geom, energy, rewards = config.geometry, config.energy, config.rewards
+    learners = small_learners(config)
+    strips = [generate_synthetic(GenParams(length=300, seed=9)),
+              generate_synthetic(GenParams(length=170, seed=10))]
+    tables = [build_dp_table(strip, geom, energy, rewards) for strip in strips]
+    shared = deployable_policies(config, *learners) + [SampleAlways()]
+    assert len(shared) == 8
     seen_violations = 0
-    for policy in policies:
-        for soc0 in (SOC_MAX, 3):
-            log = run_episode(strip, geom, energy, rewards, policy, soc0=soc0)
-            records, total, counts, violations = reference_episode(
-                strip, geom, energy, rewards, policy, soc0)
-            assert log.steps == records, policy.name
-            for rec in log.steps:
-                assert type(rec) is StepRecord
-                assert type(rec.action) is Action
-                assert rec.sampled is None or type(rec.sampled) is RewardClass
-            assert (log.total_reward, log.class_counts, log.violations) == (
-                total, counts, violations), policy.name
-            assert log.off_count == len(records) - sum(counts)
-            seen_violations += violations
+    for soc0 in (SOC_MAX, 3):
+        for strip, table in zip(strips, tables):
+            fresh = deployable_policies(config, *learners) + [SampleAlways()]
+            pairs = zip(shared + [dp_policy(table, strip)], fresh + [dp_policy(table, strip)])
+            for policy, reference in pairs:
+                untouched = EnvStrip(strip.cells, pixel_size_km=strip.pixel_size_km)
+                records, total, counts, violations = reference_episode(
+                    untouched, geom, energy, rewards, reference, soc0)
+                log = run_episode(strip, geom, energy, rewards, policy, soc0=soc0)
+                assert log.steps == records, policy.name
+                for rec in log.steps:
+                    assert type(rec) is StepRecord
+                    assert type(rec.action) is Action
+                    assert rec.sampled is None or type(rec.sampled) is RewardClass
+                assert (log.total_reward, log.class_counts, log.violations) == (
+                    total, counts, violations), policy.name
+                assert log.off_count == len(records) - sum(counts)
+                seen_violations += violations
     assert seen_violations > 0  # the reckless policy's coerced samples
+
+
+def test_no_policy_keeps_a_strip_alive_after_its_episode():
+    """Per-strip lists live on the strip's index, never on a policy: after
+    every deployable policy has run on a strip, no policy holds one of
+    its column lists, and dropping the strip frees its index at once,
+    with the collector off.  A policy that kept the index, or any of its
+    lists, would keep the last strip's summaries through the next
+    episode."""
+    config = BenchConfig(seed=4)
+    geom, energy, rewards = config.geometry, config.energy, config.rewards
+    policies = deployable_policies(config, *small_learners(config))
+    strip = generate_synthetic(GenParams(length=200, seed=12))
+    columns = strip_index(strip, geom).columns
+    kept = [columns, columns.sampled, *columns.sampled, *columns[1:]]
+    held = [sys.getrefcount(obj) for obj in kept]
+    gc.disable()
+    try:
+        for policy in policies:
+            run_episode(strip, geom, energy, rewards, policy, soc0=config.soc0)
+        assert [sys.getrefcount(obj) for obj in kept] == held
+        del columns, kept
+        index = weakref.ref(strip_index(strip, geom))
+        del strip
+        assert index() is None
+    finally:
+        gc.enable()
 
 
 @given(
