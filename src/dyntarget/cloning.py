@@ -246,17 +246,17 @@ def _forward_row(layers: Sequence[tuple], x: np.ndarray) -> float:
     (weights, biases, out) per layer, ``out`` a 1-D buffer for that
     layer's output or None for a fresh array.
 
-    ``np.dot`` of a 1-D row and a matrix runs the same BLAS kernel as
+    ``z.dot(w)`` of a 1-D row and a matrix runs the same BLAS kernel as
     ``np.matmul`` of the pair and as the batch form's ``np.dot`` on a
     (1, n) row, so each layer's output matches both bit for bit
     (``test_single_row_forward_matches_matmul_and_the_batch_form``);
-    ``np.dot`` only dispatches faster.  The bias add then has matching
-    shapes.
+    the method only dispatches faster, skipping ``np.dot``'s array-function
+    dispatcher.  The bias add then has matching shapes.
     """
     last = len(layers) - 1
     z = x
     for i, (w, b, out) in enumerate(layers):
-        z = np.dot(z, w, out=out)
+        z = z.dot(w, out=out)
         np.add(z, b, out=z)  # the ufunc call: `z += b` dispatches slower
         if i < last:
             np.maximum(z, _ZERO, out=z)

@@ -33,6 +33,8 @@ DP_HEADER = struct.Struct("<4sIIII32s32s")
 
 DEFAULT_MEMORY_CAP = 512 * 1024 * 1024
 
+_OFF, _SAMPLE = Action.OFF, Action.SAMPLE
+
 
 def models_digest(geom: SensorGeometry, energy: EnergyModel, rewards: RewardModel) -> str:
     """Hash of every model a value table depends on besides the strip."""
@@ -69,10 +71,17 @@ class DPTable:
 
     def samples(self, t0s, socs):
         """Whether Sample is optimal at 0-based columns ``t0s`` and charges
-        ``socs`` (scalars or arrays): a value exceeds its Off successor's
-        only when sampling is strictly better, so exact ties go to Off."""
+        ``socs`` (scalars or arrays): ``_sample_wins`` for each pair."""
         off_next = charge_rule(self.energy)[Action.OFF]
         return self.values[t0s, socs] > self.values[t0s + 1, off_next[socs]]
+
+
+def _sample_wins(values: np.ndarray, off_next, t0: int, soc: int) -> bool:
+    """Whether Sample is optimal at 0-based column ``t0`` and charge
+    ``soc``, given the Off successor charges ``off_next`` (indexed by
+    charge): a value exceeds its Off successor's only when sampling is
+    strictly better, so exact ties go to Off."""
+    return values.item(t0, soc) > values.item(t0 + 1, off_next[soc])
 
 
 def build_dp_table(
@@ -111,18 +120,25 @@ def expert_action(table: DPTable, t: int, soc: int) -> Action:
         raise IndexError(f"timestep {t} outside 1..{table.horizon}")
     if not (0 <= soc <= SOC_MAX):
         raise ParameterError(f"soc out of [0, {SOC_MAX}]: {soc}")
-    return Action.SAMPLE if table.samples(t - 1, soc) else Action.OFF
+    off_next = charge_rule(table.energy)[Action.OFF]
+    return _SAMPLE if _sample_wins(table.values, off_next, t - 1, soc) else _OFF
 
 
 class _DPPolicy(Policy):
+    """``expert_action`` less its checks, which a rollout's own bounds
+    make redundant, reading the Off successors from a list."""
+
     name = "dp"
     placement = Placement.DISC
 
     def __init__(self, table: DPTable):
-        self.table = table
+        self._values = table.values
+        self._off_next = charge_rule(table.energy)[Action.OFF].tolist()
 
     def decide(self, obs: Observation) -> Action:
-        return expert_action(self.table, obs.t, obs.soc)
+        if _sample_wins(self._values, self._off_next, obs.t - 1, obs.soc):
+            return _SAMPLE
+        return _OFF
 
 
 def dp_policy(table: DPTable, strip: EnvStrip) -> Policy:

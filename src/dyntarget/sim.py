@@ -72,6 +72,16 @@ class SensorGeometry:
             raise ParameterError(
                 "lookahead half-angle must exceed the radar half-angle and stay below 90"
             )
+        # the angles can still round to a reach from_pixels would refuse
+        if self.radar_radius_px < 1:
+            raise ParameterError(
+                f"radar reach rounds to {self.radar_radius_px} px; need at least 1"
+            )
+        if self.lookahead_len_px <= self.radar_radius_px:
+            raise ParameterError(
+                f"lookahead reach rounds to {self.lookahead_len_px} px, not past the "
+                f"{self.radar_radius_px} px radar reach"
+            )
 
     @property
     def radar_radius_px(self) -> int:
@@ -158,6 +168,14 @@ def run_as(rule: List[List[int]], soc: int, action: Action) -> Tuple[Action, int
     if next_soc < 0:
         return Action.OFF, rule[Action.OFF][soc]
     return action, next_soc
+
+
+@lru_cache(maxsize=32)
+def _transitions(energy: EnergyModel) -> Tuple[Tuple[Tuple[Action, int], ...], ...]:
+    """``run_as`` over every ``[action][soc]``, built once per EnergyModel,
+    so a rollout step reads its (action executed, next charge) pair."""
+    rule = charge_rule(energy).tolist()
+    return tuple(tuple(run_as(rule, soc, action) for soc in range(N_SOC)) for action in Action)
 
 
 def soc_transition(energy: EnergyModel, soc: int, action: Action) -> int:
@@ -342,35 +360,33 @@ class StripIndex:
         call; ``bc_features`` keeps the result.
         """
         geom, cells = self.geom, self._cells
-        h, t = cells.shape
+        t = cells.shape[1]
         center = self._center_row
-        r = geom.radar_radius_px
+        r = geom.radar_radius_px  # at least 1, as SensorGeometry checks
         look = geom.lookahead_len_px
-        eq = np.stack([cells == c for c in range(N_CLASSES)])
 
-        near = np.ones((N_CLASSES, t))
-        found = np.zeros((N_CLASSES, t), dtype=bool)
-        norm = max(r, 1)
-        ring_d2 = None
-        ring_any = np.zeros((N_CLASSES, t), dtype=bool)
-        offsets = list(disc_offsets(r)) + [(None, 0, 0)]  # sentinel flushes last ring
-        for d2, dr, dc in offsets:
-            if d2 != ring_d2:
-                if ring_d2 is not None:
-                    newly = ring_any & ~found
-                    near[newly] = math.sqrt(ring_d2) / norm
-                    found |= ring_any
-                ring_any = np.zeros((N_CLASSES, t), dtype=bool)
-                ring_d2 = d2
-            if d2 is None:
-                break
-            row = center + dr
-            if not (0 <= row < h) or abs(dc) >= t:
-                continue
-            if dc >= 0:
-                ring_any[:, : t - dc] |= eq[:, row, dc:]
-            else:
-                ring_any[:, -dc:] |= eq[:, row, : t + dc]
+        # per class and column, the least dr^2 of a cell of that class
+        # within reach: row pairs center -/+ k from the farthest in to
+        # nadir, so a nearer pair overwrites (rows past the strip's edge
+        # would be past k = center, since the height is odd)
+        missing = r * r + 1  # past the disc even at dc = 0
+        small = np.min_scalar_type(missing + r * r)  # holds every sum below
+        eq = np.stack([cells == c for c in range(N_CLASSES)])  # (3, H, T)
+        col_d2 = np.full((N_CLASSES, t), missing, dtype=small)
+        hit = np.empty((N_CLASSES, t), dtype=bool)
+        for k in range(min(r, center), -1, -1):
+            np.logical_or(eq[:, center - k], eq[:, center + k], out=hit)
+            np.copyto(col_d2, k * k, where=hit)
+        # a class's nearest d2 = dr^2 + dc^2, least over column offsets +/-dc
+        d2 = col_d2.copy()
+        shifted = np.empty_like(col_d2)
+        for dc in range(1, min(r, t - 1) + 1):
+            np.add(col_d2, dc * dc, out=shifted)
+            np.minimum(d2[:, : t - dc], shifted[:, dc:], out=d2[:, : t - dc])
+            np.minimum(d2[:, dc:], shifted[:, : t - dc], out=d2[:, dc:])
+        near = np.sqrt(d2, dtype=np.float64)
+        near /= r
+        near[d2 == missing] = 1.0
 
         sentinel = t  # "no occurrence" marker past the last column
         pos = np.where(self._col_any, np.arange(t)[None, :], sentinel)
@@ -659,7 +675,7 @@ def _rollout(
     if prepare is not None:  # one-off index work, outside the decide clock
         prepare(index)
     classes = _placed(getattr(policy, "placement", Placement.DISC), *columns.sampled)
-    rule = charge_rule(energy).tolist()
+    moves = _transitions(energy)
     values = rewards.values().tolist()
 
     steps: List[StepRecord] = []
@@ -683,7 +699,7 @@ def _rollout(
         decide_ns.append(perf() - t0)
         if wanted is not OFF and wanted is not SAMPLE:
             wanted = _as_action(wanted, t)
-        action, next_soc = run_as(rule, soc, wanted)
+        action, next_soc = moves[wanted][soc]
         if action is SAMPLE:
             cls = classes[t - 1]
             reward = values[cls]

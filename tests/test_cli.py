@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,18 @@ def test_bad_config_is_a_config_error(tmp_path, cfg, capsys):
     code = main(["eval", "--config", cfg("turbo = on\n"), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_a_geometry_whose_reach_rounds_to_zero_is_a_config_error(tmp_path, cfg, capsys):
+    # 3 km up, the 15 degree radar cone reaches 0.8 km: 0 px of 7 km, so
+    # the footprint would be nadir alone and its features divide by zero
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["eval", "--config", cfg("geometry.altitude_km = 3.0\n"), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "radar reach rounds to 0 px" in capsys.readouterr().err
+    assert not out.exists()  # no strip, table or report written
 
 
 @pytest.mark.parametrize("key", ["qlearn.epsilon", "qlearn.seed"])

@@ -283,7 +283,7 @@ def test_forward_row_matches_batch():
 
 
 def test_single_row_forward_matches_matmul_and_the_batch_form():
-    """``_forward_row``'s ``np.dot`` layers against the ``np.matmul`` form
+    """``_forward_row``'s ``ndarray.dot`` layers against the ``np.matmul`` form
     with a Python-float ReLU, and its probability against a one-row
     batch, bit for bit: seeded models whose negative biases leave dead
     units, on random rows, zero rows and rows of -0.0 entries."""

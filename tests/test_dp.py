@@ -34,7 +34,7 @@ from dyntarget.errors import (
     ParameterError,
     ResourceError,
 )
-from dyntarget.sim import charge_rule
+from dyntarget.sim import SOC_MAX, SatState, charge_rule, observe, strip_index
 
 ENERGY = EnergyModel()
 REWARDS = RewardModel()
@@ -190,6 +190,35 @@ def test_replay_totals_exactly_the_root_value(replay_strip, tiers, discharge, re
     log = run_episode(replay_strip, geom, energy, rewards,
                       dp_policy(table, replay_strip), soc0=soc0)
     assert log.total_reward == table.root_value(soc0)
+
+
+@pytest.mark.parametrize("energy, rewards", [
+    (ENERGY, REWARDS),
+    (ENERGY, RewardModel(0.25, 0.5, 1.75)),  # fractional, with exact ties
+    (EnergyModel(7, 3), REWARDS),
+], ids=["default", "fractional_ties", "energy_7_3"])
+def test_dp_decisions_are_the_expert_actions(energy, rewards):
+    """The planner policy's decide equals ``expert_action`` at every
+    (t, soc) of a strip, and an exact tie between Sample and Off goes
+    to Off."""
+    geom = SensorGeometry()
+    strip = generate_synthetic(GenParams(length=150, seed=31))
+    table = build_dp_table(strip, geom, energy, rewards)
+    policy = dp_policy(table, strip)
+    value = rewards.values()[strip_index(strip, geom).radar_best]
+    off_next, smp_next = charge_rule(energy)
+    ties = 0
+    for t in range(1, strip.length + 1):
+        for soc in range(SOC_MAX + 1):
+            got = policy.decide(observe(strip, geom, SatState(t, soc)))
+            assert type(got) is Action
+            assert got == expert_action(table, t, soc), (t, soc)
+            if soc >= energy.sample_discharge and (
+                    value[t - 1] + table.values[t, smp_next[soc]]
+                    == table.values[t, off_next[soc]]):
+                ties += 1
+                assert got == Action.OFF, (t, soc)
+    assert ties > 0
 
 
 def test_no_policy_beats_the_planner(geom_small):

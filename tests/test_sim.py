@@ -1,4 +1,5 @@
 """Geometry, charge transitions, stepping, and episode bookkeeping."""
+import dataclasses
 import gc
 import math
 import sys
@@ -7,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dyntarget import (
     Action,
@@ -36,7 +37,8 @@ from dyntarget import (
 )
 from dyntarget.bench import BenchConfig, _build_policy
 from dyntarget.errors import EpisodeError, InfeasibleActionError, ParameterError
-from dyntarget.sim import SOC_MAX, StepRecord, disc_offsets, sampled_class, strip_index
+from dyntarget.sim import (SOC_MAX, StepRecord, _transitions, charge_rule, disc_offsets, run_as,
+                           sampled_class, strip_index)
 
 ENERGY = EnergyModel()
 REWARDS = RewardModel()
@@ -121,6 +123,18 @@ def test_from_pixels_rejects_degenerate_reach():
         SensorGeometry.from_pixels(0, 5)
     with pytest.raises(ParameterError):
         SensorGeometry.from_pixels(5, 5)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"altitude_km": 3.0},  # the radar cone reaches 0.8 km: 0 px
+    {"pixel_size_km": 250.0},  # both reaches round to 0 px
+    {"lookahead_half_angle_deg": 15.1},  # both reaches round to 15 px
+], ids=["low", "coarse", "narrow"])
+def test_angles_whose_reach_breaks_the_pixel_rule_are_rejected(kwargs):
+    """Valid angles can still round to a pixel reach that ``from_pixels``
+    refuses: no footprint beyond nadir, or no lookahead past it."""
+    with pytest.raises(ParameterError, match="reach rounds"):
+        SensorGeometry(**kwargs)
 
 
 def test_disc_offsets_enumerate_the_lattice():
@@ -299,20 +313,24 @@ def test_another_strips_index_is_refused(call):
 
 
 @given(seed=st.integers(0, 2**32 - 1), height=st.sampled_from([1, 3, 5, 9]),
-       length=st.integers(1, 30))
+       length=st.integers(1, 30), geom=st.just(SensorGeometry.from_pixels(2, 5)))
+@example(seed=2, height=31, length=400, geom=SensorGeometry())
+@example(seed=3, height=9, length=60, geom=SensorGeometry.from_pixels(20, 40))  # disc > strip
 @settings(max_examples=25)
-def test_observation_queries_match_direct_recount(geom_small, seed, height, length):
-    """Cross-check the cached per-column summaries against a literal
-    rescan of the cells, including strips shorter than the footprint."""
+def test_observation_queries_match_direct_recount(seed, height, length, geom):
+    """Cross-check the cached per-column summaries, and the cloning
+    features' nearest and earliest distances, against a literal rescan
+    of the cells, including strips shorter than the footprint."""
     rng = np.random.default_rng(seed)
     strip = EnvStrip(rng.integers(0, 3, size=(height, length), dtype=np.uint8))
     cells = strip.cells
     center = strip.center_row
-    r = geom_small.radar_radius_px
-    look = geom_small.lookahead_len_px
+    r = geom.radar_radius_px
+    look = geom.lookahead_len_px
+    near, earliest = strip_index(strip, geom).bc_extras()
     for t in range(1, length + 1):
         t0 = t - 1
-        obs = observe(strip, geom_small, SatState(t, 50))
+        obs = observe(strip, geom, SatState(t, 50))
         in_disc = [
             cells[center + dr, t0 + dc]
             for dr in range(-r, r + 1)
@@ -321,6 +339,22 @@ def test_observation_queries_match_direct_recount(geom_small, seed, height, leng
             and 0 <= center + dr < height
             and 0 <= t0 + dc < length
         ]
+        for c in range(3):
+            d2 = [
+                dr * dr + dc * dc
+                for dr in range(-r, r + 1)
+                for dc in range(-r, r + 1)
+                if dr * dr + dc * dc <= r * r
+                and 0 <= center + dr < height
+                and 0 <= t0 + dc < length
+                and cells[center + dr, t0 + dc] == c
+            ]
+            want = math.sqrt(min(d2)) / max(r, 1) if d2 else 1.0
+            assert near[c, t0].hex() == want.hex(), (t, c)
+            hits = [j for j in range(t0 + 1, min(t0 + 1 + look, length))
+                    if (cells[:, j] == c).any()]
+            want = (hits[0] - (t0 + 1)) / look if hits else 1.0
+            assert earliest[c, t0].hex() == want.hex(), (t, c)
         window = cells[:, t0 + 1: min(t0 + 1 + look, length)]
         assert obs.nadir_class() == cells[center, t0]
         assert obs.radar_best_class() == max(in_disc)
@@ -628,35 +662,56 @@ def test_episodes_match_the_public_step_loop():
     pair by a new object of the same policy, deciding on a copy of the
     strip that nothing has indexed yet.  So no policy may carry what it
     read from one strip to the next, and a first decide on an untouched
-    index must read what an episode reads."""
-    config = BenchConfig(seed=4)
-    geom, energy, rewards = config.geometry, config.energy, config.rewards
-    learners = small_learners(config)
+    index must read what an episode reads.  Under a second energy model
+    as well, whose charge steps the episode reads from its own cached
+    transitions and the reference from the public ``step``."""
     strips = [generate_synthetic(GenParams(length=300, seed=9)),
               generate_synthetic(GenParams(length=170, seed=10))]
-    tables = [build_dp_table(strip, geom, energy, rewards) for strip in strips]
-    shared = deployable_policies(config, *learners) + [SampleAlways()]
-    assert len(shared) == 8
-    seen_violations = 0
-    for soc0 in (SOC_MAX, 3):
-        for strip, table in zip(strips, tables):
-            fresh = deployable_policies(config, *learners) + [SampleAlways()]
-            pairs = zip(shared + [dp_policy(table, strip)], fresh + [dp_policy(table, strip)])
-            for policy, reference in pairs:
-                untouched = EnvStrip(strip.cells, pixel_size_km=strip.pixel_size_km)
-                records, total, counts, violations = reference_episode(
-                    untouched, geom, energy, rewards, reference, soc0)
-                log = run_episode(strip, geom, energy, rewards, policy, soc0=soc0)
-                assert log.steps == records, policy.name
-                for rec in log.steps:
-                    assert type(rec) is StepRecord
-                    assert type(rec.action) is Action
-                    assert rec.sampled is None or type(rec.sampled) is RewardClass
-                assert (log.total_reward, log.class_counts, log.violations) == (
-                    total, counts, violations), policy.name
-                assert log.off_count == len(records) - sum(counts)
-                seen_violations += violations
-    assert seen_violations > 0  # the reckless policy's coerced samples
+    for energy in (EnergyModel(), EnergyModel(7, 3)):
+        config = BenchConfig(seed=4, energy=energy)
+        geom, rewards = config.geometry, config.rewards
+        learners = small_learners(config)
+        tables = [build_dp_table(strip, geom, energy, rewards) for strip in strips]
+        shared = deployable_policies(config, *learners) + [SampleAlways()]
+        assert len(shared) == 8
+        seen_violations = 0
+        for soc0 in (SOC_MAX, 3):
+            for strip, table in zip(strips, tables):
+                fresh = deployable_policies(config, *learners) + [SampleAlways()]
+                pairs = zip(shared + [dp_policy(table, strip)],
+                            fresh + [dp_policy(table, strip)])
+                for policy, reference in pairs:
+                    untouched = EnvStrip(strip.cells, pixel_size_km=strip.pixel_size_km)
+                    records, total, counts, violations = reference_episode(
+                        untouched, geom, energy, rewards, reference, soc0)
+                    log = run_episode(strip, geom, energy, rewards, policy, soc0=soc0)
+                    assert log.steps == records, (energy, policy.name)
+                    for rec in log.steps:
+                        assert type(rec) is StepRecord
+                        assert type(rec.action) is Action
+                        assert rec.sampled is None or type(rec.sampled) is RewardClass
+                    assert (log.total_reward, log.class_counts, log.violations) == (
+                        total, counts, violations), (energy, policy.name)
+                    assert log.off_count == len(records) - sum(counts)
+                    seen_violations += violations
+        assert seen_violations > 0  # the reckless policy's coerced samples
+
+
+def test_the_cached_transitions_are_run_as():
+    """Each energy model's cached (action executed, next charge) table
+    equals ``run_as`` over its own rule at every action and charge, read
+    back and forth between models, so a table cached under another
+    model's key shows."""
+    energies = [EnergyModel(), EnergyModel(7, 3), EnergyModel(2, 1)]
+    for energy in energies + energies[::-1]:
+        moves = _transitions(energy)
+        assert _transitions(dataclasses.replace(energy)) is moves  # equal models share one
+        rule = charge_rule(energy).tolist()
+        for action in Action:
+            for soc in range(SOC_MAX + 1):
+                executed, next_soc = moves[action][soc]
+                assert (executed, next_soc) == run_as(rule, soc, action), (energy, action, soc)
+                assert type(executed) is Action and type(next_soc) is int
 
 
 def test_no_policy_keeps_a_strip_alive_after_its_episode():
