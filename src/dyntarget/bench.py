@@ -111,7 +111,6 @@ class DatasetSpec:
     length: int = DESK_SCALE_LENGTH
     prevalence: Tuple[float, float, float] = (0.64, 0.26, 0.10)
     blob_radius: Tuple[float, float, float] = (3.0, 4.0, 14.0)
-    pixel_size_km: float = 7.0
     train_count: int = 4
     test_count: int = 10
     train_seed0: int = 100
@@ -120,11 +119,13 @@ class DatasetSpec:
     test_paths: Tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.train_paths and self.test_paths:
+        if bool(self.train_paths) != bool(self.test_paths):
+            raise ConfigError("provide both train and test paths, or neither")
+        if self.train_paths:
             overlap = set(map(str, self.train_paths)) & set(map(str, self.test_paths))
             if overlap:
                 raise ConfigError(f"train/test paths overlap: {sorted(overlap)}")
-        if not self.train_paths and not self.test_paths:
+        else:
             # every command that scores or times a policy reads test00
             if self.test_count < 1 or self.train_count < 0:
                 raise ConfigError(
@@ -135,30 +136,6 @@ class DatasetSpec:
             test = set(range(self.test_seed0, self.test_seed0 + self.test_count))
             if train & test:
                 raise ConfigError("train/test generator seed ranges overlap")
-
-    def gen_params(self, seed: int) -> GenParams:
-        """Generator knobs for the synthetic strip with this seed."""
-        return GenParams(
-            height=self.height,
-            length=self.length,
-            prevalence=self.prevalence,
-            blob_radius=self.blob_radius,
-            pixel_size_km=self.pixel_size_km,
-            seed=seed,
-        )
-
-    def strips(self, role: str, outdir=None) -> Iterator[EnvStrip]:
-        """The ``"train"`` or ``"test"`` strips, one at a time: loaded from
-        the configured paths, else generated, or with an ``outdir`` read
-        back from ``<outdir>/strips/`` (see ``_strip_for``)."""
-        if self.train_paths or self.test_paths:
-            if not (self.train_paths and self.test_paths):
-                raise ConfigError("provide both train and test paths, or neither")
-            return map(load_dataset, getattr(self, f"{role}_paths"))
-        seed0 = getattr(self, f"{role}_seed0")
-        count = getattr(self, f"{role}_count")
-        strip_dir = Path(outdir) / "strips" if outdir is not None else None
-        return (_strip_for(self.gen_params(seed0 + i), strip_dir) for i in range(count))
 
 
 @dataclass(frozen=True)
@@ -194,6 +171,31 @@ class BenchConfig:
             raise ConfigError(f"soc0 out of [0, {SOC_MAX}]: {self.soc0}")
         if self.bc_mode not in ("stochastic", "threshold"):
             raise ConfigError(f"unknown bc mode {self.bc_mode!r}")
+
+    def gen_params(self, seed: int) -> GenParams:
+        """Generator knobs for the synthetic strip with this seed; its
+        pixels are the geometry's."""
+        ds = self.datasets
+        return GenParams(
+            height=ds.height,
+            length=ds.length,
+            prevalence=ds.prevalence,
+            blob_radius=ds.blob_radius,
+            pixel_size_km=self.geometry.pixel_size_km,
+            seed=seed,
+        )
+
+    def strips(self, role: str, outdir=None) -> Iterator[EnvStrip]:
+        """The ``"train"`` or ``"test"`` strips, one at a time: loaded from
+        the configured paths, else generated, or with an ``outdir`` read
+        back from ``<outdir>/strips/`` (see ``_strip_for``)."""
+        ds = self.datasets
+        if ds.train_paths:
+            return map(load_dataset, getattr(ds, f"{role}_paths"))
+        seed0 = getattr(ds, f"{role}_seed0")
+        count = getattr(ds, f"{role}_count")
+        strip_dir = Path(outdir) / "strips" if outdir is not None else None
+        return (_strip_for(self.gen_params(seed0 + i), strip_dir) for i in range(count))
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +483,7 @@ def prepare_bench(
     trained by ``train_learners`` on the training strips; ``dp`` maps to
     None, because the planner is built per test strip."""
     qtable, model = train_learners(
-        config, list(config.datasets.strips("train", outdir)), outdir, progress=progress
+        config, list(config.strips("train", outdir)), outdir, progress=progress
     )
     return [(name, _build_policy(name, config, qtable, model)) for name in config.roster]
 
@@ -601,7 +603,7 @@ def _score(
     """
     cache_dir = _cache_dir(outdir)
     rows: List[List[ReportRow]] = [[] for _ in policies]
-    for i, strip in enumerate(config.datasets.strips("test", outdir)):
+    for i, strip in enumerate(config.strips("test", outdir)):
         table = _dp_for(strip, config, cache_dir)
         dp_value = table.root_value(config.soc0)
         for out, (name, policy) in zip(rows, policies):
@@ -713,7 +715,7 @@ def training_curve(
         raise ConfigError(f"repeated fraction in {fractions}")
     if not {"bc", "qlearn"} & set(config.roster):
         raise ConfigError("a curve needs bc or qlearn in the roster")
-    train = list(config.datasets.strips("train", outdir))
+    train = list(config.strips("train", outdir))
     pool = None
     pool_order = None
     if "bc" in config.roster:

@@ -68,7 +68,7 @@ def _cmd_gen(args) -> int:
     ):
         for i in range(count):
             seed = seed0 + i
-            strip = generate_synthetic(ds.gen_params(seed))
+            strip = generate_synthetic(config.gen_params(seed))
             path = outdir / f"{role}{i:02d}.dtg"
             save_dataset(
                 strip,
@@ -98,7 +98,7 @@ def _cmd_dp(args) -> int:
 
 def _cmd_train_q(args) -> int:
     config = dataclasses.replace(_load_base_config(args), roster=("qlearn",))
-    strips = list(config.datasets.strips("train", args.out))
+    strips = list(config.strips("train", args.out))
     train_learners(config, strips, args.out)
     print(f"{Path(args.out) / QTABLE_FILE}  trained on {len(strips)} strips")
     return EXIT_OK
@@ -106,7 +106,7 @@ def _cmd_train_q(args) -> int:
 
 def _cmd_train_bc(args) -> int:
     config = dataclasses.replace(_load_base_config(args), roster=("bc",))
-    strips = list(config.datasets.strips("train", args.out))
+    strips = list(config.strips("train", args.out))
     _, model = train_learners(config, strips, args.out, progress=True)
     print(f"{Path(args.out) / MODEL_FILE}  layers {'x'.join(str(s) for s in model.layer_sizes)}")
     return EXIT_OK
@@ -138,7 +138,7 @@ def _cmd_latency(args) -> int:
     if set(config.roster) <= {"dp"}:
         raise ConfigError("latency needs a policy other than dp in the roster")
     policies = prepare_bench(config, args.out)
-    strip = next(config.datasets.strips("test", args.out))
+    strip = next(config.strips("test", args.out))
     kinds = _field_types(LatencyStats)
     print(",".join(["policy", *kinds]))
     for name, policy in policies:
@@ -159,12 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p):
         p.add_argument("--config", type=str, default=None, help="key=value config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--full-scale", action="store_true", help="use full-length strips")
-        if needs_out:
-            p.add_argument("--out", type=str, default="out", help="output directory")
+        p.add_argument("--out", type=str, default="out", help="output directory")
 
     p = sub.add_parser("gen", help="generate synthetic datasets")
     common(p)

@@ -31,6 +31,8 @@ import numpy as np
 from .errors import FormatError, ParameterError
 from .dp import DPTable
 from .sim import (
+    _OFF,
+    _SAMPLE,
     Action,
     EnergyModel,
     N_SOC,
@@ -55,9 +57,6 @@ _EPS = 1e-12
 # 0-d operands: a ufunc takes these more cheaply than a Python float
 _ZERO, _ONE = np.zeros(()), np.ones(())
 _LOSS_BLOCK_ROWS = 4096  # training rows whose losses are summed in one pass
-# Action's members as module globals, for decide: reading one off the
-# enum class costs about 0.1 us
-_OFF, _SAMPLE = Action.OFF, Action.SAMPLE
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +65,7 @@ _OFF, _SAMPLE = Action.OFF, Action.SAMPLE
 
 def featurize_bc(obs: Observation) -> np.ndarray:
     """13-value summary of one observation; see the module docstring."""
-    row = obs.index.bc_features()[obs.t - 1].copy()
+    row = obs.index.bc_features[obs.t - 1].copy()
     row[0] = obs.soc / SOC_MAX
     return row
 
@@ -112,7 +111,7 @@ def collect_demonstrations(
     # draws lie in [0, 1), so keep_prob = 1.0 keeps every cell
     mask = np.random.default_rng(seed).random((strip.length, N_SOC)) <= keep_prob
     t0s, socs = np.nonzero(mask)
-    feats = index.bc_features()[t0s]
+    feats = index.bc_features[t0s]
     feats[:, 0] = socs / SOC_MAX
     actions = dp_table.samples(t0s, socs).astype(np.uint8)
     return DemoSet(features=feats, actions=actions, soc=socs.astype(np.int32))
@@ -694,12 +693,12 @@ class _BCPolicy(Policy):
         self._rng = np.random.default_rng(self.seed)
 
     def prepare(self, index: StripIndex) -> None:
-        index.bc_features()
+        index.bc_features  # the first read builds the kept block
 
     def _probability(self, obs: Observation) -> float:
         """``mlp_forward(model, featurize_bc(obs))``, in the policy's buffers."""
         x = self._x
-        x[:] = obs.index.bc_features()[obs.t - 1]
+        x[:] = obs.index.bc_features[obs.t - 1]
         x[0] = obs.soc / SOC_MAX
         return _forward_row(self._layers, x)
 

@@ -20,8 +20,8 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import ConsistencyError, FormatError, ParameterError, ResourceError
-from .sim import (Action, EnergyModel, N_SOC, Observation, Placement, Policy, SensorGeometry,
-                  SOC_MAX, charge_rule, strip_index)
+from .sim import (_OFF, _SAMPLE, Action, EnergyModel, N_SOC, Observation, Placement, Policy,
+                  SensorGeometry, SOC_MAX, charge_rule, strip_index)
 from .world import EnvStrip, RewardModel, check_size, read_checked, write_file
 
 # Enumerating 2^T sequences past this horizon is pointless and slow.
@@ -32,8 +32,6 @@ DP_MAGIC = b"DTD2"
 DP_HEADER = struct.Struct("<4sIIII32s32s")
 
 DEFAULT_MEMORY_CAP = 512 * 1024 * 1024
-
-_OFF, _SAMPLE = Action.OFF, Action.SAMPLE
 
 
 def models_digest(geom: SensorGeometry, energy: EnergyModel, rewards: RewardModel) -> str:

@@ -12,12 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .sim import Action, EnergyModel, Observation, Placement, Policy
+from .sim import _OFF, _SAMPLE, Action, EnergyModel, Observation, Placement, Policy
 from .world import RewardClass
-
-# Action's members as module globals, for decide: reading one off the
-# enum class costs about 0.1 us
-_OFF, _SAMPLE = Action.OFF, Action.SAMPLE
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import FormatError, ParameterError
 from .sim import (
+    _OFF,
+    _SAMPLE,
     Action,
     EnergyModel,
     N_SOC,
@@ -39,9 +41,6 @@ N_Q_STATES = N_SOC * N_FLAG_COMBOS  # 6464
 Q_MAGIC = b"DTQ2"
 # magic, states, actions, then the key: training strips, models and params digests
 Q_HEADER = struct.Struct("<4sII32s32s32s")
-# Action's members as module globals, for decide: reading one off the
-# enum class costs about 0.1 us
-_OFF, _SAMPLE = Action.OFF, Action.SAMPLE
 
 
 @dataclass(frozen=True)

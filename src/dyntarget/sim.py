@@ -22,7 +22,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import EpisodeError, InfeasibleActionError, ParameterError
+from .errors import ConsistencyError, EpisodeError, InfeasibleActionError, ParameterError
 from .world import EnvStrip, N_CLASSES, RewardClass, RewardModel
 
 SOC_MAX = 100
@@ -34,8 +34,9 @@ class Action(IntEnum):
     SAMPLE = 1
 
 
-# members by value, for lookups cheaper than calling the enum
+# members by value: cheaper than calling the enum or reading a member off it
 _ACTIONS = tuple(Action)
+_OFF, _SAMPLE = _ACTIONS
 _CLASSES = tuple(RewardClass)
 
 
@@ -307,7 +308,6 @@ class StripIndex:
         self.win_high, self.win_mid = best_cum[:, self.win_hi1] - best_cum[:, self.win_lo]
 
         self._col_any = col_any
-        self._bc_features = None
 
     @cached_property
     def columns(self) -> StripColumns:
@@ -327,27 +327,26 @@ class StripIndex:
 
     # -- queries used by behavioral-cloning features ----------------------
 
+    @cached_property
     def bc_features(self) -> np.ndarray:
         """Read-only (T, 13) float64 block: per column, the behavioral-
         cloning feature row laid out as ``dyntarget.cloning`` documents,
         with column 0 (the charge) left 0 for the caller to fill.  Built
         on first use and kept, so only the cloning path pays for it."""
-        if self._bc_features is None:
-            # allocated before bc_extras' temporaries, so that the kept
-            # block does not end up above them on the heap (about 0.4 MB
-            # of peak RSS on the ladder benchmark)
-            t = len(self.win_lo)
-            block = np.zeros((t, 1 + 4 * N_CLASSES))
-            win_cells = (self.win_cols * self._cells.shape[0]).astype(np.float64)
-            look = np.divide(
-                self.look_count, win_cells, out=np.zeros((N_CLASSES, t)), where=win_cells > 0
-            )
-            parts = (self.radar_count / self.footprint_size, look) + self.bc_extras()
-            for k, part in enumerate(parts):
-                block[:, 1 + N_CLASSES * k: 1 + N_CLASSES * (k + 1)] = part.T
-            block.flags.writeable = False
-            self._bc_features = block
-        return self._bc_features
+        # allocated before bc_extras' temporaries, so that the kept
+        # block does not end up above them on the heap (about 0.4 MB
+        # of peak RSS on the ladder benchmark)
+        t = len(self.win_lo)
+        block = np.zeros((t, 1 + 4 * N_CLASSES))
+        win_cells = (self.win_cols * self._cells.shape[0]).astype(np.float64)
+        look = np.divide(
+            self.look_count, win_cells, out=np.zeros((N_CLASSES, t)), where=win_cells > 0
+        )
+        parts = (self.radar_count / self.footprint_size, look) + self.bc_extras()
+        for k, part in enumerate(parts):
+            block[:, 1 + N_CLASSES * k: 1 + N_CLASSES * (k + 1)] = part.T
+        block.flags.writeable = False
+        return block
 
     def bc_extras(self) -> Tuple[np.ndarray, np.ndarray]:
         """(nearest_norm, earliest_norm), both (3, T) in [0, 1].
@@ -399,9 +398,13 @@ class StripIndex:
 
 
 def strip_index(strip: EnvStrip, geom: SensorGeometry) -> StripIndex:
-    """Summaries for (strip, geom), built once and cached on the strip."""
+    """Summaries for (strip, geom), built once and cached on the strip; a
+    strip whose pixels are not the geometry's raises ConsistencyError."""
     idx = strip._caches.get(geom)
     if idx is None:
+        if strip.pixel_size_km != float(np.float32(geom.pixel_size_km)):
+            raise ConsistencyError(f"a strip of {strip.pixel_size_km} km pixels under a "
+                                   f"geometry of {geom.pixel_size_km} km pixels")
         idx = StripIndex(strip, geom)
         strip._caches[geom] = idx
     return idx

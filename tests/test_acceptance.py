@@ -230,9 +230,9 @@ def test_cloned_policy_agrees_with_the_expert(capsys):
         roster=("bc",),
         datasets=dataclasses.replace(DatasetSpec(), length=3000, test_count=2),
     )
-    _, model = train_learners(config, list(config.datasets.strips("train")))
+    _, model = train_learners(config, list(config.strips("train")))
     scores = []
-    for strip in config.datasets.strips("test"):
+    for strip in config.strips("test"):
         table = build_dp_table(strip, config.geometry, config.energy, config.rewards)
         demos = collect_demonstrations(table, strip, keep_prob=0.1, seed=1,
                                        geom=config.geometry)

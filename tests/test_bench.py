@@ -143,7 +143,6 @@ DEFAULT_KEYS = {
     "datasets.length": "10000",
     "datasets.prevalence": "0.64, 0.26, 0.10",
     "datasets.blob_radius": "3.0, 4.0, 14.0",
-    "datasets.pixel_size_km": "7.0",
     "datasets.train_count": "4",
     "datasets.test_count": "10",
     "datasets.train_seed0": "100",
@@ -171,7 +170,7 @@ DEFAULT_KEYS = {
 
 
 def test_public_config_keys_are_pinned():
-    assert len(DEFAULT_KEYS) == 40
+    assert len(DEFAULT_KEYS) == 39
     assert sorted(CONFIG_KEYS) == sorted(DEFAULT_KEYS)
 
 
@@ -202,6 +201,13 @@ def test_dataset_spec_guards_overlap(tmp_path):
             train_paths=(str(tmp_path / "a.dtg"),),
             test_paths=(str(tmp_path / "a.dtg"),),
         )
+
+
+def test_dataset_spec_needs_both_paths_or_neither(tmp_path):
+    with pytest.raises(ConfigError, match="both train and test paths"):
+        DatasetSpec(train_paths=(str(tmp_path / "a.dtg"),))
+    with pytest.raises(ConfigError, match="both train and test paths"):
+        DatasetSpec(test_paths=(str(tmp_path / "a.dtg"),))
 
 
 def test_config_rejects_duplicate_roster():
@@ -286,8 +292,8 @@ def test_strip_major_scoring_matches_a_policy_major_loop():
     )
     assert config.bc_mode == "stochastic"
     report = run_benchmark(config)
-    _, model = train_learners(config, list(config.datasets.strips("train")))
-    strips = list(config.datasets.strips("test"))
+    _, model = train_learners(config, list(config.strips("train")))
+    strips = list(config.strips("test"))
     tables = [build_dp_table(s, config.geometry, config.energy, config.rewards) for s in strips]
     expected = []
     for name in config.roster:
@@ -375,7 +381,7 @@ def test_the_cloner_trains_under_the_configured_energy_model():
         datasets=dataclasses.replace(TINY, train_count=1, test_count=1),
         bc=dataclasses.replace(BenchConfig().bc, max_epochs=3),
     )
-    strips = list(config.datasets.strips("train"))
+    strips = list(config.strips("train"))
     _, model = train_learners(config, strips)
     demos = balance_dataset(_demo_pool(config, strips), seed=config.bc.seed)
     expected = train_bc(demos, config.bc, energy=config.energy)
@@ -396,13 +402,13 @@ LEARNERS = BenchConfig(
 
 
 def episodes(config, policy):
-    strip = next(config.datasets.strips("test"))
+    strip = next(config.strips("test"))
     log = run_episode(strip, config.geometry, config.energy, config.rewards, policy)
     return log.steps, log.total_reward
 
 
 def test_saved_learners_equal_the_trained_ones_bit_for_bit(tmp_path):
-    qtable, model = train_learners(LEARNERS, list(LEARNERS.datasets.strips("train")), tmp_path)
+    qtable, model = train_learners(LEARNERS, list(LEARNERS.strips("train")), tmp_path)
     saved_q = load_qtable(tmp_path / QTABLE_FILE)
     saved_model = load_model(tmp_path / MODEL_FILE)
     assert np.array_equal(saved_q.q, qtable.q)
@@ -565,6 +571,13 @@ def test_strip_files_change_no_output(tmp_path, monkeypatch, generated):
     assert stable_outputs(out) == expected
 
 
+def test_generated_strips_take_the_geometry_pixel_size():
+    config = BenchConfig(geometry=SensorGeometry(pixel_size_km=6.3), datasets=TINY)
+    assert config.gen_params(7).pixel_size_km == 6.3
+    pixels = [strip.pixel_size_km for role in ("train", "test") for strip in config.strips(role)]
+    assert pixels == [float(np.float32(6.3))] * 3
+
+
 def test_configured_paths_write_no_strip_files(tmp_path):
     datasets = dataclasses.replace(TINY, train_paths=strip_files(tmp_path, (100,)),
                                    test_paths=strip_files(tmp_path, (5000,)))
@@ -585,7 +598,7 @@ def test_a_damaged_strip_file_is_regenerated_not_scored(tmp_path, generated, how
         return [dataclasses.replace(r, mean_decide_us=0.0) for r in report.rows]
 
     def strip_file(seed):
-        return out / "strips" / f"{strip_key(ds.gen_params(seed))[:32]}.dts"
+        return out / "strips" / f"{strip_key(config.gen_params(seed))[:32]}.dts"
 
     first = rows()
     good = strip_file(ds.test_seed0).read_bytes()
@@ -598,7 +611,7 @@ def test_a_damaged_strip_file_is_regenerated_not_scored(tmp_path, generated, how
     strip_file(ds.test_seed0).write_bytes(bad)
     generated.clear()
     assert rows() == first
-    assert generated == [ds.gen_params(ds.test_seed0)]
+    assert generated == [config.gen_params(ds.test_seed0)]
     assert strip_file(ds.test_seed0).read_bytes() == good
 
 

@@ -185,7 +185,7 @@ def test_eval_never_opens_a_table_of_the_previous_format(tmp_path, cfg):
     # worth 1, are wrong for the strip
     extra = "roster = dp\n"
     config = bench.load_config(cfg(extra))
-    strip = next(config.datasets.strips("test"))
+    strip = next(config.strips("test"))
     r = config.rewards
     models = repr((config.geometry, config.energy, (r.reward_low, r.reward_mid, r.reward_high)))
     name = hashlib.sha256(f"{strip.digest()}|{models}".encode()).hexdigest()[:32]
@@ -382,11 +382,11 @@ def test_commands_refuse_a_roster_that_leaves_them_nothing_to_do(tmp_path, monke
 def test_curve_refuses_a_repeated_fraction(tmp_path, monkeypatch, cfg, capsys):
     calls = []
 
-    def counted(spec, role, *args, _real=bench.DatasetSpec.strips):
+    def counted(config, role, *args, _real=bench.BenchConfig.strips):
         calls.append(role)
-        return _real(spec, role, *args)
+        return _real(config, role, *args)
 
-    monkeypatch.setattr(bench.DatasetSpec, "strips", counted)
+    monkeypatch.setattr(bench.BenchConfig, "strips", counted)
     out = tmp_path / "o"
     code = main(["curve", "--config", cfg(), "--fractions", "0.5,0.5", "--out", str(out)])
     assert code == EXIT_CONFIG
@@ -424,3 +424,60 @@ def test_train_commands_still_need_both_paths_or_neither(tmp_path, cfg, capsys):
         code = main([command, "--config", cfg(extra), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert "both train and test paths" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen", "dp"])
+def test_a_half_configured_path_pair_is_refused_by_every_command(tmp_path, cfg, capsys,
+                                                                 command):
+    data = tmp_path / "data"
+    main(["gen", "--config", cfg(), "--out", str(data)])
+    capsys.readouterr()
+    extra = f"datasets.train_paths = {data / 'train00.dtg'}\n"
+    args = ["--data", str(data / "test00.dtg")] if command == "dp" else []
+    out = tmp_path / "o"
+    code = main([command, "--config", cfg(extra), "--out", str(out), *args])
+    assert code == EXIT_CONFIG
+    assert "both train and test paths" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_dataset_pixel_size_is_not_a_key(tmp_path, cfg, capsys):
+    out = tmp_path / "data"
+    code = main(["gen", "--config", cfg("datasets.pixel_size_km = 7.0\n"), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "unknown config keys: ['datasets.pixel_size_km']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "dp"])
+def test_strips_of_other_pixels_are_a_data_error(tmp_path, cfg, capsys, command):
+    """3.5 km strips under the default 7 km geometry would be scored with
+    a footprint of half the reach the pixels need."""
+    data = tmp_path / "data"
+    assert main(["gen", "--config", cfg("geometry.pixel_size_km = 3.5\n"),
+                 "--out", str(data)]) == EXIT_OK
+    capsys.readouterr()
+    paths = (f"datasets.train_paths = {data / 'train00.dtg'}\n"
+             f"datasets.test_paths = {data / 'test00.dtg'}\n")
+    out = tmp_path / "o"
+    args = ["--data", str(data / "test00.dtg")] if command == "dp" else []
+    code = main([command, "--config", cfg(paths), "--out", str(out), *args])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "a strip of 3.5 km pixels under a geometry of 7.0 km pixels" in err
+    assert not (out / "report.csv").exists()
+    assert not list(out.glob("*.dpt"))
+
+
+def test_a_geometry_of_other_pixels_runs_end_to_end(tmp_path, cfg, capsys):
+    """gen writes the geometry's pixel size into every header, and eval
+    on those files under that geometry succeeds."""
+    data = tmp_path / "data"
+    config = "geometry.pixel_size_km = 6.3\n"
+    assert main(["gen", "--config", cfg(config), "--out", str(data)]) == EXIT_OK
+    headers = [HEADER.unpack_from(path.read_bytes()) for path in sorted(data.glob("*.dtg"))]
+    assert [px for *_, px in headers] == [float(np.float32(6.3))] * 3
+    config += (f"datasets.train_paths = {data / 'train00.dtg'}\n"
+               f"datasets.test_paths = {data / 'test00.dtg'}, {data / 'test01.dtg'}\n")
+    assert main(["eval", "--config", cfg(config), "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert (tmp_path / "o" / "report.csv").exists()

@@ -36,7 +36,8 @@ from dyntarget import (
     train_dp_sweep,
 )
 from dyntarget.bench import BenchConfig, _build_policy
-from dyntarget.errors import EpisodeError, InfeasibleActionError, ParameterError
+from dyntarget.errors import (ConsistencyError, EpisodeError, InfeasibleActionError,
+                              ParameterError)
 from dyntarget.sim import (SOC_MAX, StepRecord, _transitions, charge_rule, disc_offsets, run_as,
                            sampled_class, strip_index)
 
@@ -312,6 +313,19 @@ def test_another_strips_index_is_refused(call):
         call(strip, geom, strip_index(other, geom))
 
 
+@pytest.mark.parametrize("pixel", [3.5, 6.3])
+def test_an_index_refuses_a_strip_of_other_pixels(pixel):
+    """The footprint is counted in the geometry's pixels, so a strip of
+    other pixels is refused; its float32 header value still matches."""
+    strip = EnvStrip(np.zeros((5, 40), dtype=np.uint8), pixel_size_km=pixel)
+    with pytest.raises(ConsistencyError, match=f"{strip.pixel_size_km} km pixels under a "
+                                               "geometry of 7.0 km pixels"):
+        strip_index(strip, SensorGeometry())
+    assert not strip._caches
+    geom = SensorGeometry(pixel_size_km=pixel)
+    assert strip_index(strip, geom).geom == geom
+
+
 @given(seed=st.integers(0, 2**32 - 1), height=st.sampled_from([1, 3, 5, 9]),
        length=st.integers(1, 30), geom=st.just(SensorGeometry.from_pixels(2, 5)))
 @example(seed=2, height=31, length=400, geom=SensorGeometry())
@@ -534,20 +548,13 @@ def test_bc_features_are_built_before_the_first_clock(monkeypatch, runner):
     strip = generate_synthetic(GenParams(length=40, seed=3))
     geom = SensorGeometry()
     index = strip_index(strip, geom)
-    events = []
-    features = index.bc_features
-
-    def spy():
-        events.append("features")
-        return features()
-
+    built = []  # at each clock read, whether the index holds the block
     clock = time.perf_counter_ns
 
     def timed():
-        events.append("clock")
+        built.append("bc_features" in vars(index))
         return clock()
 
-    monkeypatch.setattr(index, "bc_features", spy)
     monkeypatch.setattr(time, "perf_counter_ns", timed)
     policy = bc_policy(init_mlp(seed=1), mode="threshold", energy=ENERGY)
     if runner == "run_episode":
@@ -555,8 +562,7 @@ def test_bc_features_are_built_before_the_first_clock(monkeypatch, runner):
     else:
         measure_latency(policy, strip, 30, geom, ENERGY)
     monkeypatch.undo()
-    assert events[0] == "features"
-    assert events.count("clock") == 2 * (40 if runner == "run_episode" else 30)
+    assert built == [True] * 2 * (40 if runner == "run_episode" else 30)
 
 
 class Answer(Policy):
