@@ -171,6 +171,8 @@ class BenchConfig:
             raise ConfigError(f"soc0 out of [0, {SOC_MAX}]: {self.soc0}")
         if self.bc_mode not in ("stochastic", "threshold"):
             raise ConfigError(f"unknown bc mode {self.bc_mode!r}")
+        if not self.datasets.train_paths:  # loaded strips are checked when planned or swept
+            self.rewards.check_horizon(self.datasets.length)
 
     def gen_params(self, seed: int) -> GenParams:
         """Generator knobs for the synthetic strip with this seed; its

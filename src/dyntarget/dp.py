@@ -93,8 +93,10 @@ def build_dp_table(
     sampled reward to its successor's, so it sums its path last step
     first.  Rewards are read from the strip's cached index
     ``strip_index(strip, geom)``.  The size is checked against
-    ``memory_cap_bytes`` up front."""
+    ``memory_cap_bytes`` up front, and rewards that could overflow a
+    total over the horizon raise ConfigError."""
     horizon = strip.length
+    rewards.check_horizon(horizon)
     estimate = (horizon + 1) * N_SOC * 8
     if estimate > memory_cap_bytes:
         raise ResourceError(f"value table needs {estimate} bytes, cap is {memory_cap_bytes}")

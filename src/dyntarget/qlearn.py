@@ -178,7 +178,8 @@ def train_dp_sweep(
 
     Each sweep visits each training strip in the given order.  Zero
     sweeps returns the zero table.  Deterministic: no randomness is
-    involved at all.
+    involved at all.  Rewards that could overflow a total over a
+    strip's horizon raise ConfigError, before any sweep.
     """
     strips = list(strips)
     if not strips:
@@ -186,6 +187,7 @@ def train_dp_sweep(
     table = QTable()
     prepared = []
     for strip in strips:
+        rewards.check_horizon(strip.length)
         idx = strip_index(strip, geom)
         r_sample = rewards.values()[idx.radar_best]
         prepared.append((idx.qflag, r_sample))

@@ -418,7 +418,9 @@ def strip_index(strip: EnvStrip, geom: SensorGeometry) -> StripIndex:
 class Observation:
     """What a policy sees entering timestep ``t``: both sensor views plus
     its own charge.  Heavy views are materialized only on access; ``index``
-    is always the strip's cached ``strip_index(strip, geom)``."""
+    is always the strip's cached ``strip_index(strip, geom)``.  An episode
+    reuses one Observation, setting ``t`` and ``soc`` before each
+    decision, so it is valid only until ``decide`` returns."""
 
     strip: EnvStrip
     geom: SensorGeometry
@@ -501,7 +503,9 @@ class Policy:
     strip's index beyond ``index.columns``, which the episode loop
     builds itself.  Whatever it builds stays on the index: a policy
     holds no per-strip state, so it can decide on any strip's
-    Observation and keeps no strip alive after its episode.
+    Observation and keeps no strip alive after its episode.  Nor may it
+    keep the Observation past ``decide``: the episode loop changes that
+    same object's ``t`` and ``soc`` for the next step.
     """
 
     name = "policy"
@@ -596,17 +600,29 @@ class StepRecord(NamedTuple):
     reward: float
 
 
+# a step's code in EpisodeLog.codes: the sampled RewardClass value, or this
+# when the step ran as Off
+OFF_CODE = 3
+
+
 @dataclass
 class EpisodeLog:
-    """Full trace of one episode plus derived totals.
+    """One episode: one code per step plus its totals.
 
+    ``codes`` holds, per step, the sampled class's value when the step
+    ran as Sample and ``OFF_CODE`` when it ran as Off; with ``soc0``,
+    the strip's length, the energy model and the three reward values
+    that fixes every step, so ``steps`` rebuilds the records on read.
     ``total_reward`` sums the sampled rewards last step first, the order
     in which the planner's backward induction adds them, so replaying
     the planner's actions totals exactly its table value.
     """
 
-    steps: List[StepRecord]
+    codes: bytes = field(repr=False)
     soc0: int
+    strip_length: int
+    energy: EnergyModel
+    reward_values: Tuple[float, float, float]
     total_reward: float
     class_counts: Tuple[int, int, int]
     off_count: int
@@ -614,8 +630,29 @@ class EpisodeLog:
     mean_decide_us: float
 
     @property
+    def steps(self) -> List[StepRecord]:
+        """Each step's record, rebuilt from ``codes`` along the
+        episode's walk: from timestep 1 at ``soc0``, and back to both
+        past the strip's end."""
+        moves = _transitions(self.energy)
+        values = self.reward_values
+        records = []
+        soc, t = self.soc0, 1
+        for code in self.codes:
+            if code == OFF_CODE:
+                action, next_soc = moves[_OFF][soc]
+                records.append(StepRecord(t, soc, action, None, 0.0))
+            else:
+                action, next_soc = moves[_SAMPLE][soc]
+                records.append(StepRecord(t, soc, action, _CLASSES[code], values[code]))
+            soc, t = next_soc, t + 1
+            if t > self.strip_length:
+                soc, t = self.soc0, 1
+        return records
+
+    @property
     def n_steps(self) -> int:
-        return len(self.steps)
+        return len(self.codes)
 
     @property
     def off_fraction(self) -> float:
@@ -665,8 +702,10 @@ def _rollout(
     call's time in ns.  The index's column lists are built, and the
     policy reset and prepared, once before the first clock; past the
     strip's end the walk wraps to timestep 1 and charge ``soc0``.  Every
-    step is built as the public ``observe``/``step`` pair would build
-    it, less their checks, which the walk's own bounds make redundant."""
+    step is the public ``observe``/``step`` pair's, less their checks,
+    which the walk's own bounds make redundant: one Observation serves
+    the whole episode, its ``t`` and ``soc`` set before each decision,
+    and each step keeps only its code (see ``EpisodeLog``)."""
     if not (0 <= soc0 <= SOC_MAX):
         raise ParameterError(f"soc0 out of [0, {SOC_MAX}]: {soc0}")
     index = strip_index(strip, geom)
@@ -679,21 +718,20 @@ def _rollout(
         prepare(index)
     classes = _placed(getattr(policy, "placement", Placement.DISC), *columns.sampled)
     moves = _transitions(energy)
-    values = rewards.values().tolist()
+    values = tuple(rewards.values().tolist())
 
-    steps: List[StepRecord] = []
+    codes = bytearray()
+    record = codes.append
     soc, t = soc0, 1
-    sampled: List[float] = []
-    counts = [0, 0, 0]
     violations = 0
     decide_ns: List[int] = []
     perf = time.perf_counter_ns
-    new_obs = Observation._unchecked
-    new_tuple = tuple.__new__  # a StepRecord without the NamedTuple's __new__
     OFF, SAMPLE = Action.OFF, Action.SAMPLE
     length = strip.length
+    obs = Observation._unchecked(strip, geom, t, soc, index)
     for _ in range(n_steps):
-        obs = new_obs(strip, geom, t, soc, index)
+        obs.t = t
+        obs.soc = soc
         t0 = perf()
         try:
             wanted = policy.decide(obs)
@@ -702,30 +740,28 @@ def _rollout(
         decide_ns.append(perf() - t0)
         if wanted is not OFF and wanted is not SAMPLE:
             wanted = _as_action(wanted, t)
-        action, next_soc = moves[wanted][soc]
+        action, soc = moves[wanted][soc]
         if action is SAMPLE:
-            cls = classes[t - 1]
-            reward = values[cls]
-            counts[cls] += 1
-            sampled.append(reward)
+            record(classes[t - 1])
         else:
             violations += wanted is SAMPLE
-            cls = None
-            reward = 0.0
-        steps.append(new_tuple(StepRecord, (t, soc, action, cls, reward)))
-        soc, t = next_soc, t + 1
+            record(OFF_CODE)
+        t += 1
         if t > length:
             soc, t = soc0, 1
     total = 0.0
-    for reward in reversed(sampled):  # the planner's summation order
-        total = reward + total
+    for code in reversed(codes.replace(bytes((OFF_CODE,)), b"")):  # the planner's order
+        total = values[code] + total
 
     log = EpisodeLog(
-        steps=steps,
+        codes=bytes(codes),
         soc0=soc0,
+        strip_length=length,
+        energy=energy,
+        reward_values=values,
         total_reward=total,
-        class_counts=(counts[0], counts[1], counts[2]),
-        off_count=n_steps - sum(counts),
+        class_counts=(codes.count(0), codes.count(1), codes.count(2)),
+        off_count=codes.count(OFF_CODE),
         violations=violations,
         mean_decide_us=sum(decide_ns) / max(n_steps, 1) / 1000.0,
     )

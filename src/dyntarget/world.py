@@ -42,7 +42,7 @@ from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, ResourceError
+from .errors import ConfigError, FormatError, ParameterError, ResourceError
 
 MAGIC = b"DTG1"
 HEADER = struct.Struct("<4sIIf")
@@ -68,8 +68,8 @@ N_CLASSES = 3
 class RewardModel:
     """Per-class sample rewards.
 
-    Off always earns 0, and the tiers must increase strictly, so the
-    class order is also the reward order everywhere.
+    Off always earns 0, and the tiers must be finite and increase
+    strictly, so the class order is also the reward order everywhere.
     """
 
     reward_low: float = 1.0
@@ -77,11 +77,23 @@ class RewardModel:
     reward_high: float = 100.0
 
     def __post_init__(self):
+        rewards = (self.reward_low, self.reward_mid, self.reward_high)
+        if not all(map(math.isfinite, rewards)):
+            raise ParameterError(f"rewards must be finite: {', '.join(map(str, rewards))}")
         if not (self.reward_low < self.reward_mid < self.reward_high):
             raise ParameterError(
                 "rewards must increase strictly: "
                 f"{self.reward_low}, {self.reward_mid}, {self.reward_high}"
             )
+
+    def check_horizon(self, horizon: int) -> None:
+        """Raise ConfigError unless ``horizon`` steps of the largest reward
+        in magnitude sum to a finite total, which bounds every episode
+        total and planner value over that horizon."""
+        largest = max(abs(self.reward_low), abs(self.reward_high))
+        if not math.isfinite(largest * horizon):
+            raise ConfigError(f"rewards up to {largest} in magnitude overflow a total "
+                              f"over {horizon} steps")
 
     def values(self) -> np.ndarray:
         """Rewards indexed by RewardClass, as float64."""

@@ -481,3 +481,55 @@ def test_a_geometry_of_other_pixels_runs_end_to_end(tmp_path, cfg, capsys):
                f"datasets.test_paths = {data / 'test00.dtg'}, {data / 'test01.dtg'}\n")
     assert main(["eval", "--config", cfg(config), "--out", str(tmp_path / "o")]) == EXIT_OK
     assert (tmp_path / "o" / "report.csv").exists()
+
+
+OVERFLOW_CFG = """
+datasets.length = 40
+datasets.train_count = 1
+datasets.test_count = 1
+roster = dp,greedy_radar
+"""
+
+
+@pytest.mark.parametrize("rewards", [
+    "rewards.high = inf\n",
+    "rewards.low = 1e306\nrewards.mid = 1e307\nrewards.high = 1e308\n",
+])
+def test_rewards_that_overflow_a_total_are_a_config_error(tmp_path, capsys, rewards):
+    """An infinite reward, or finite ones whose total over the 40-step
+    horizon overflows, used to write infinite totals and NaN percentages
+    to the report."""
+    config = tmp_path / "overflow.cfg"
+    config.write_text(OVERFLOW_CFG + rewards, encoding="utf-8")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["eval", "--config", str(config), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "dp"])
+def test_loaded_strips_whose_totals_overflow_are_a_config_error(tmp_path, cfg, capsys, command):
+    """Loaded strips fix the horizon only when they are read, so the planner
+    and the sweep check the rewards against each strip's length: the
+    100-odd samples a 400-step strip affords overflow at 1e307 apiece,
+    though the configured rewards themselves are finite.  The sweep runs
+    first, and used to save a Q table of infinities and NaNs."""
+    data = tmp_path / "data"
+    assert main(["gen", "--config", cfg(), "--out", str(data)]) == EXIT_OK
+    capsys.readouterr()
+    extra = ("rewards.low = 1e305\nrewards.mid = 1e306\nrewards.high = 1e307\n"
+             "roster = qlearn,dp\n"
+             f"datasets.train_paths = {data / 'train00.dtg'}\n"
+             f"datasets.test_paths = {data / 'test00.dtg'}\n")
+    out = tmp_path / "o"
+    args = ["--data", str(data / "test00.dtg")] if command == "dp" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", cfg(extra), "--out", str(out), *args])
+    assert code == EXIT_CONFIG
+    assert "overflow a total over 400 steps" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+    assert not list(out.glob("*.dpt")) and not list(out.glob("*.dtq"))

@@ -4,6 +4,7 @@ import gc
 import math
 import sys
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,6 +15,7 @@ from dyntarget import (
     Action,
     EnergyModel,
     EnvStrip,
+    EpisodeLog,
     Observation,
     Placement,
     Policy,
@@ -27,6 +29,7 @@ from dyntarget import (
     build_dp_table,
     dp_policy,
     generate_synthetic,
+    greedy_radar,
     init_mlp,
     measure_latency,
     observe,
@@ -601,6 +604,60 @@ def test_integer_answers_are_recorded_as_actions(value):
     assert log.violations == 0
 
 
+def test_one_observation_serves_a_whole_episode():
+    """The episode loop sets ``t`` and ``soc`` on one Observation before
+    each decision, so a policy may not keep it past its ``decide``; one
+    that does sees a single object, with each step's values while it
+    decides, across the latency walk's wraps too."""
+    kept, seen = [], []
+
+    class Keeper(SampleWhenFeasible):
+        def decide(self, obs):
+            kept.append(obs)
+            seen.append((obs.t, obs.soc))
+            return super().decide(obs)
+
+    strip = uniform(5, 40, RewardClass.HIGH)
+    geom = SensorGeometry.from_pixels(2, 5)
+    log = run_episode(strip, geom, ENERGY, REWARDS, Keeper(), soc0=60)
+    assert all(obs is kept[0] for obs in kept)
+    assert seen == [(rec.t, rec.soc) for rec in log.steps]
+    kept.clear()
+    seen.clear()
+    measure_latency(Keeper(), strip, 100, geom, ENERGY, soc0=60)
+    assert all(obs is kept[0] for obs in kept)
+    assert seen == ([(rec.t, rec.soc) for rec in log.steps] * 3)[:100]
+
+
+def test_an_episode_log_keeps_one_byte_per_step(monkeypatch):
+    """A 10k-step log keeps its step codes, not 10k StepRecords (1.28 MB
+    under tracemalloc when it did), and its step count and fractions
+    read them without rebuilding ``steps``."""
+    config = BenchConfig(seed=4)
+    geom, energy, rewards = config.geometry, config.energy, config.rewards
+    strip = generate_synthetic(GenParams(length=10_000, seed=12))
+    policy = greedy_radar(config.thresholds, energy=energy)
+    first = run_episode(strip, geom, energy, rewards, policy)  # builds the column lists
+    gc.collect()
+    tracemalloc.start()
+    try:
+        log = run_episode(strip, geom, energy, rewards, policy)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 100_000
+    assert (log.codes, log.total_reward) == (first.codes, first.total_reward)
+
+    def rebuilt(self):
+        raise AssertionError("steps rebuilt")
+
+    monkeypatch.setattr(EpisodeLog, "steps", property(rebuilt))
+    assert log.n_steps == 10_000
+    assert log.off_fraction + sum(map(log.class_fraction, RewardClass)) == pytest.approx(1.0)
+    assert log.off_count + sum(log.class_counts) == 10_000
+
+
 def test_episode_log_to_csv(tmp_path):
     class Script(Policy):
         def decide(self, obs):
@@ -721,12 +778,12 @@ def test_the_cached_transitions_are_run_as():
 
 
 def test_no_policy_keeps_a_strip_alive_after_its_episode():
-    """Per-strip lists live on the strip's index, never on a policy: after
-    every deployable policy has run on a strip, no policy holds one of
-    its column lists, and dropping the strip frees its index at once,
-    with the collector off.  A policy that kept the index, or any of its
-    lists, would keep the last strip's summaries through the next
-    episode."""
+    """Per-strip lists live on the strip's index, never on a policy or an
+    episode's log: after every deployable policy has run on a strip, no
+    policy or kept log holds one of its column lists, and dropping the
+    strip frees its index at once, with the collector off and the logs
+    still alive.  A policy that kept the index, or any of its lists,
+    would keep the last strip's summaries through the next episode."""
     config = BenchConfig(seed=4)
     geom, energy, rewards = config.geometry, config.energy, config.rewards
     policies = deployable_policies(config, *small_learners(config))
@@ -736,13 +793,14 @@ def test_no_policy_keeps_a_strip_alive_after_its_episode():
     held = [sys.getrefcount(obj) for obj in kept]
     gc.disable()
     try:
-        for policy in policies:
-            run_episode(strip, geom, energy, rewards, policy, soc0=config.soc0)
+        logs = [run_episode(strip, geom, energy, rewards, policy, soc0=config.soc0)
+                for policy in policies]
         assert [sys.getrefcount(obj) for obj in kept] == held
         del columns, kept
         index = weakref.ref(strip_index(strip, geom))
         del strip
         assert index() is None
+        assert [log.n_steps for log in logs] == [200] * len(policies)
     finally:
         gc.enable()
 
