@@ -42,7 +42,7 @@ from .dp import (
     models_digest,
     save_dp_table,
 )
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, FormatError, ParameterError
 from .heuristics import (
     Policy,
     ThresholdRule,
@@ -70,6 +70,7 @@ from .sim import (
     run_episode,
 )
 from .world import (
+    STRIP_MAGIC,
     EnvStrip,
     GenParams,
     RewardClass,
@@ -92,7 +93,6 @@ KNOWN_POLICIES = (
     "dp",
 )
 
-DESK_SCALE_LENGTH = 10000
 FULL_SCALE_LENGTH = 86400
 
 # the report's names for the three reward tiers under each scenario; the
@@ -107,10 +107,10 @@ CLASS_NAMES = {
 class DatasetSpec:
     """Where evaluation data comes from: explicit files, else synthetic."""
 
-    height: int = 31
-    length: int = DESK_SCALE_LENGTH
-    prevalence: Tuple[float, float, float] = (0.64, 0.26, 0.10)
-    blob_radius: Tuple[float, float, float] = (3.0, 4.0, 14.0)
+    height: int = GenParams.height
+    length: int = GenParams.length
+    prevalence: Tuple[float, float, float] = GenParams.prevalence
+    blob_radius: Tuple[float, float, float] = GenParams.blob_radius
     train_count: int = 4
     test_count: int = 10
     train_seed0: int = 100
@@ -305,50 +305,69 @@ def _cache_dir(outdir) -> Optional[Path]:
     return Path(outdir) / "dp_cache" if outdir is not None else None
 
 
-def _strip_for(params: GenParams, strip_dir: Optional[Path]) -> EnvStrip:
-    """Generate the strip ``params`` describe, or read back a saved copy.
+def _get_or_build(directory, name: str, magic: bytes, load, key_of, key, build, save,
+                  progress: bool = False):
+    """The reuse rule for every file a run keeps: what ``load`` parses from
+    the file ``name`` in ``directory`` if ``key_of`` it is ``key``, else
+    ``build()``, saved over the file by ``save(built, path)``.
 
-    The file is named by ``world.strip_key(params)``, which covers every
-    generator param, the generator's identity and the numpy version.  A
-    file there that fails to parse, was saved under another key or whose
-    cells do not match its digest is a miss: regenerated and overwritten.
+    A missing file, one with another magic (never read past it), one
+    that fails to parse (``load`` raises FormatError) and one that names
+    another key are misses.  Each file is a deterministic function of its
+    key, so a rebuild writes what a fresh run would.  Without a
+    ``directory`` nothing is read or written.
     """
-    if strip_dir is None:
-        return generate_synthetic(params)
+    if directory is None:
+        return build()
+    path = Path(directory) / name
+    try:
+        with open(path, "rb") as fh:
+            same_format = fh.read(len(magic)) == magic
+        if same_format:
+            found = load(path)
+            if key_of(found) == key:
+                if progress:
+                    print(f"reused {path}")
+                return found
+    except (FileNotFoundError, FormatError):
+        pass
+    built = build()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save(built, path)
+    return built
+
+
+def _strip_for(params: GenParams, strip_dir: Optional[Path]) -> EnvStrip:
+    """Generate the strip ``params`` describe, or read back a copy saved in
+    ``strip_dir``, named and keyed by ``world.strip_key(params)``."""
     key = strip_key(params)
-    path = strip_dir / f"{key[:32]}.dts"
-    strip = load_keyed_strip(path, key)
-    if strip is None:
-        strip = generate_synthetic(params)
-        strip_dir.mkdir(parents=True, exist_ok=True)
-        save_keyed_strip(strip, key, path)
+    _, strip = _get_or_build(
+        strip_dir, f"{key[:32]}.dts", STRIP_MAGIC, load_keyed_strip,
+        lambda keyed: keyed[0], key,
+        lambda: (key, generate_synthetic(params)),
+        lambda keyed, path: save_keyed_strip(keyed[1], key, path),
+    )
     return strip
 
 
 def _dp_for(
     strip: EnvStrip, config: BenchConfig, cache_dir: Optional[Path]
 ) -> DPTable:
-    """Build the strip's value table, or reuse a cached one.
+    """Build the strip's value table, or reuse one cached in ``cache_dir``,
+    keyed by the strip and models digests.
 
-    The cache file is named by a hash of the table format, the strip
-    digest and the models digest, so a changed reward or geometry misses
-    and a file of an older format is never opened.  A cached table whose
-    header names another strip or other models is rebuilt.
+    The file is named by a hash of the table format and the key, so a
+    changed reward or geometry misses and a file of an older format is
+    never opened.
     """
-    if cache_dir is None:
-        return build_dp_table(strip, config.geometry, config.energy, config.rewards)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    digest = strip.digest()
-    models = models_digest(config.geometry, config.energy, config.rewards)
-    key = hashlib.sha256(DP_MAGIC + bytes.fromhex(digest) + bytes.fromhex(models)).hexdigest()
-    path = cache_dir / f"{key[:32]}.dpt"
-    if path.exists():
-        table = load_dp_table(path)
-        if (table.strip_digest, table.models_digest) == (digest, models):
-            return table
-    table = build_dp_table(strip, config.geometry, config.energy, config.rewards)
-    save_dp_table(table, path)
-    return table
+    key = (strip.digest(), models_digest(config.geometry, config.energy, config.rewards))
+    name = hashlib.sha256(DP_MAGIC + b"".join(map(bytes.fromhex, key))).hexdigest()
+    return _get_or_build(
+        cache_dir, f"{name[:32]}.dpt", DP_MAGIC, load_dp_table,
+        lambda table: (table.strip_digest, table.models_digest), key,
+        lambda: build_dp_table(strip, config.geometry, config.energy, config.rewards),
+        save_dp_table,
+    )
 
 
 def _demo_pool(
@@ -391,38 +410,6 @@ def _learner_key(config: BenchConfig, strips: Sequence[EnvStrip], params) -> Tup
     )
 
 
-def _learner_path(outdir, name: str) -> Optional[Path]:
-    return Path(outdir) / name if outdir is not None else None
-
-
-def _saved(path: Optional[Path], magic: bytes, load, key, progress: bool):
-    """The learner saved at ``path`` if it was trained on ``key``'s inputs,
-    else None.  A file of another format is never read past its magic; a
-    file of this format that fails to parse raises FormatError."""
-    if path is None:
-        return None
-    try:
-        with open(path, "rb") as fh:
-            if fh.read(len(magic)) != magic:
-                return None
-    except FileNotFoundError:
-        return None
-    learner = load(path)
-    if learner.key != key:
-        return None
-    if progress:
-        print(f"reused {path}")
-    return learner
-
-
-def _save(learner, key, path: Optional[Path], save, manifest: dict) -> None:
-    """Key a freshly trained learner and save it at ``path``, if any."""
-    learner.key = key
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save(learner, path, manifest)
-
-
 def train_learners(
     config: BenchConfig, strips: Sequence[EnvStrip], outdir=None, progress: bool = False
 ):
@@ -433,30 +420,39 @@ def train_learners(
     training strips, models and learner params is reused instead, and a
     trained one is saved there.
     """
-    qtable = None
-    model = None
+
+    def learner(name, magic, load, save, params, manifest, train):
+        key = _learner_key(config, strips, params)
+        return _get_or_build(outdir, name, magic, load, lambda found: found.key, key,
+                             lambda: train(key),
+                             lambda trained, path: save(trained, path, manifest), progress)
+
+    def sweep(key):
+        qtable = _sweep(strips, config)
+        qtable.key = key
+        if progress:
+            print(f"swept q table over {len(strips)} strips")
+        return qtable
+
+    def clone(key):
+        demos = balance_dataset(_demo_pool(config, strips, _cache_dir(outdir)),
+                                seed=config.bc.seed)
+        model = train_bc(demos, config.bc, energy=config.energy)
+        model.key = key
+        if progress:
+            print(f"cloned planner from {len(demos)} balanced demos")
+        return model
+
+    qtable = model = None
     if "qlearn" in config.roster:
         q = config.qlearn
-        path, key = _learner_path(outdir, QTABLE_FILE), _learner_key(config, strips, q)
-        qtable = _saved(path, Q_MAGIC, load_qtable, key, progress)
-        if qtable is None:
-            qtable = _sweep(strips, config)
-            if progress:
-                print(f"swept q table over {len(strips)} strips")
-            manifest = {"alpha": q.alpha, "gamma": q.gamma, "sweeps": q.sweeps}
-            _save(qtable, key, path, save_qtable, manifest)
+        qtable = learner(QTABLE_FILE, Q_MAGIC, load_qtable, save_qtable, q,
+                         {"alpha": q.alpha, "gamma": q.gamma, "sweeps": q.sweeps}, sweep)
     if "bc" in config.roster:
         bc = config.bc
-        path, key = _learner_path(outdir, MODEL_FILE), _learner_key(config, strips, bc)
-        model = _saved(path, MODEL_MAGIC, load_model, key, progress)
-        if model is None:
-            demos = balance_dataset(_demo_pool(config, strips, _cache_dir(outdir)), seed=bc.seed)
-            model = train_bc(demos, bc, energy=config.energy)
-            if progress:
-                print(f"cloned planner from {len(demos)} balanced demos")
-            manifest = {"keep_prob": bc.keep_prob, "loss": bc.loss,
-                        "learning_rate": bc.learning_rate}
-            _save(model, key, path, save_model, manifest)
+        model = learner(MODEL_FILE, MODEL_MAGIC, load_model, save_model, bc,
+                        {"keep_prob": bc.keep_prob, "loss": bc.loss,
+                         "learning_rate": bc.learning_rate}, clone)
     return qtable, model
 
 
@@ -510,8 +506,12 @@ class ReportRow:
 
 def _mean(values: Sequence[float]) -> float:
     """The per-strip mean every report and curve uses: the values summed in
-    strip order, then divided by their count."""
-    return sum(values) / len(values)
+    strip order, then divided by their count.  Finite values whose sum
+    overflows are each divided by the count first."""
+    total = sum(values)
+    if math.isinf(total) and all(map(math.isfinite, values)):
+        return sum(v / len(values) for v in values)
+    return total / len(values)
 
 
 @dataclass
@@ -571,10 +571,12 @@ def _pct_of_dp(total: float, dp_value: float) -> float:
     """``total`` as a percentage of the planner's value.
 
     A strip worth nothing to the planner reads 100 for a zero total and
-    an infinity with the total's sign otherwise.
+    an infinity with the total's sign otherwise.  A finite total too
+    large to scale by 100 is divided by the planner's value first.
     """
     if dp_value > 0:
-        return 100.0 * total / dp_value
+        scaled = 100.0 * total
+        return scaled / dp_value if math.isfinite(scaled) else total / dp_value * 100.0
     return 100.0 if total == 0 else math.copysign(math.inf, total)
 
 

@@ -99,7 +99,7 @@ def _cmd_dp(args) -> int:
 def _cmd_train_q(args) -> int:
     config = dataclasses.replace(_load_base_config(args), roster=("qlearn",))
     strips = list(config.strips("train", args.out))
-    train_learners(config, strips, args.out)
+    train_learners(config, strips, args.out, progress=True)
     print(f"{Path(args.out) / QTABLE_FILE}  trained on {len(strips)} strips")
     return EXIT_OK
 

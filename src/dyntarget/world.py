@@ -549,18 +549,15 @@ def save_keyed_strip(strip: EnvStrip, key: str, path) -> None:
     write_file(path, header, strip.cells.tobytes(order="F"))
 
 
-def load_keyed_strip(path, key: str) -> Optional[EnvStrip]:
-    """The strip saved at ``path`` under ``key``, else None.
+def load_keyed_strip(path) -> Tuple[str, EnvStrip]:
+    """The key a keyed strip file names and the strip it holds.
 
-    None when there is no file at ``path``, when it fails to parse, when
-    it was saved under another key, or when its cells do not hash to the
-    digest its header stores; so a damaged file is never returned.
+    Raises FormatError as ``load_dataset`` does, and when the cells do
+    not hash to the digest the header stores; so a damaged file never
+    parses.
     """
-    try:
-        data, (h, w, px, saved_key, digest) = read_checked(path, STRIP_MAGIC, STRIP_HEADER)
-        if saved_key.hex() != key:
-            return None
-        strip = _strip_from(data, STRIP_HEADER.size, h, w, px)
-    except (FileNotFoundError, FormatError):
-        return None
-    return strip if strip.digest() == digest.hex() else None
+    data, (h, w, px, key, digest) = read_checked(path, STRIP_MAGIC, STRIP_HEADER)
+    strip = _strip_from(data, STRIP_HEADER.size, h, w, px)
+    if strip.digest() != digest.hex():
+        raise FormatError("cells do not match the stored digest", offset=STRIP_HEADER.size)
+    return key.hex(), strip

@@ -279,15 +279,74 @@ def test_eval_retrains_over_a_stale_learner_file(tmp_path, cfg, bench_calls, sta
     assert stable_report(out) == stable_report(fresh)
 
 
-@pytest.mark.parametrize("name", ["qtable.dtq", "bc_model.dtm"])
-def test_a_corrupt_learner_file_is_a_data_error(tmp_path, cfg, capsys, name):
+# each kind of file a run keeps: where it lies in the out dir and the byte
+# offset of the first key digest in its header
+KEPT_FILES = {
+    "dts": ("strips/*.dts", 16),
+    "dpt": ("dp_cache/*.dpt", 20),
+    "dtq": ("qtable.dtq", 12),
+    "dtm": ("bc_model.dtm", 8),
+}
+
+
+def damage(data, how, key_at):
+    if how == "truncated":
+        return data[:-8]
+    if how == "magic":
+        return b"ZZZZ" + data[4:]
+    if how == "other_key":
+        return data[:key_at] + bytes([data[key_at] ^ 1]) + data[key_at + 1:]
+    # flipped_cell: still a valid class byte, so only the strip's digest sees it
+    return data[:-1] + bytes([(data[-1] + 1) % 3])
+
+
+@pytest.mark.parametrize("kind, how", [
+    *((kind, how) for kind in KEPT_FILES for how in ("truncated", "magic", "other_key")),
+    ("dts", "flipped_cell"),
+])
+def test_a_damaged_file_in_an_out_dir_is_rebuilt(tmp_path, cfg, kind, how):
+    pattern, key_at = KEPT_FILES[kind]
     out = tmp_path / "out"
     assert main(["eval", "--config", cfg(LEARNER_ROSTER), "--out", str(out)]) == EXIT_OK
-    good = (out / name).read_bytes()
-    (out / name).write_bytes(good[:-8])
-    code = main(["eval", "--config", cfg(LEARNER_ROSTER), "--out", str(out)])
-    assert code == EXIT_DATA
-    assert f"payload (byte offset {len(good) - 8})" in capsys.readouterr().err
+    fresh = stable_report(out)
+    paths = sorted(out.glob(pattern))
+    good = [path.read_bytes() for path in paths]
+    for path, data in zip(paths, good):
+        path.write_bytes(damage(data, how, key_at))
+    if kind == "dpt":  # the training strip's table is read only to clone the planner
+        (out / "bc_model.dtm").unlink()
+    assert main(["eval", "--config", cfg(LEARNER_ROSTER), "--out", str(out)]) == EXIT_OK
+    assert sorted(out.glob(pattern)) == paths
+    assert [path.read_bytes() for path in paths] == good
+    assert stable_report(out) == fresh
+
+
+def test_a_second_train_q_reuses_its_table(tmp_path, cfg, bench_calls, capsys):
+    out = tmp_path / "out"
+    assert main(["train-q", "--config", cfg(), "--out", str(out)]) == EXIT_OK
+    assert "swept q table over 1 strips" in capsys.readouterr().out
+    assert main(["train-q", "--config", cfg(), "--out", str(out)]) == EXIT_OK
+    rerun = capsys.readouterr().out
+    assert f"reused {out / 'qtable.dtq'}" in rerun and "swept" not in rerun
+    assert bench_calls["train_dp_sweep"] == 1
+
+
+def test_totals_near_the_float_limit_score_dp_at_exactly_100(tmp_path):
+    # 100 x a total overflows before the total does, and so does the sum
+    # of three totals before their mean
+    config = tmp_path / "big.cfg"
+    config.write_text("datasets.length = 10\ndatasets.train_count = 0\n"
+                      "datasets.test_count = 3\nroster = dp, greedy_radar\n"
+                      "rewards.low = 1e305\nrewards.mid = 1e306\nrewards.high = 1e307\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["eval", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()[1:]]
+    assert [row[1] for row in rows if row[0] == "dp"] == ["test00", "test01", "test02", "mean"]
+    assert all(float(row[3]) == 100.0 for row in rows if row[0] == "dp")
+    means = [float(row[2]) for row in rows if row[1] == "mean"]
+    assert len(means) == 2 and all(map(np.isfinite, means))
+    assert "| dp | 100.00 |" in (out / "report.md").read_text()
 
 
 def test_an_interrupted_table_write_leaves_nothing_at_its_name(tmp_path, cfg, monkeypatch):

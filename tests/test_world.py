@@ -434,13 +434,14 @@ def test_a_keyed_strip_reads_back_only_under_its_key(tmp_path):
     strip = generate_synthetic(KEY_PARAMS)
     key = strip_key(KEY_PARAMS)
     path = tmp_path / "s.dts"
-    assert load_keyed_strip(path, key) is None  # no file
+    with pytest.raises(FileNotFoundError):
+        load_keyed_strip(path)
     save_keyed_strip(strip, key, path)
-    back = load_keyed_strip(path, key)
+    named, back = load_keyed_strip(path)
     assert np.array_equal(back.cells, strip.cells)
     assert back.pixel_size_km == strip.pixel_size_km
     assert back.digest() == strip.digest()
-    assert load_keyed_strip(path, strip_key(GenParams(height=5, length=40, seed=4))) is None
+    assert named == key != strip_key(GenParams(height=5, length=40, seed=4))
 
 
 def damaged(data, how):
@@ -461,11 +462,13 @@ def damaged(data, how):
 @pytest.mark.parametrize("how", ["truncated", "trailing", "magic", "class_byte",
                                  "flipped_cell"])
 def test_a_damaged_keyed_strip_file_reads_as_none(tmp_path, how):
+    # a damaged file never parses, so a benchmark run reads it as a miss
     key = strip_key(KEY_PARAMS)
     path = tmp_path / "s.dts"
     save_keyed_strip(generate_synthetic(KEY_PARAMS), key, path)
     path.write_bytes(damaged(path.read_bytes(), how))
-    assert load_keyed_strip(path, key) is None
+    with pytest.raises(FormatError):
+        load_keyed_strip(path)
 
 
 def test_an_interrupted_write_keeps_the_previous_file(tmp_path):
