@@ -23,8 +23,10 @@ from __future__ import annotations
 import math
 import struct
 import warnings
+import weakref
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +44,7 @@ from .sim import (
     SensorGeometry,
     SOC_MAX,
     StripIndex,
+    _transitions,
     strip_index,
 )
 from .world import UNKEYED, EnvStrip, check_size, read_checked, write_file
@@ -57,6 +60,11 @@ _EPS = 1e-12
 # 0-d operands: a ufunc takes these more cheaply than a Python float
 _ZERO, _ONE = np.zeros(()), np.ones(())
 _LOSS_BLOCK_ROWS = 4096  # training rows whose losses are summed in one pass
+# a bc block holds the cells a walk reaches within this many steps, taking
+# at most this many samples (see _reach_plan); chosen by measurement
+_BLOCK_DEPTH = 16
+_BLOCK_SAMPLES = 2
+_NO_ROW = 255  # a reach plan's row for a cell outside it
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +234,16 @@ def _sigmoid(
     return t
 
 
-def _forward(layers: Sequence[tuple], x: np.ndarray) -> np.ndarray:
+def _forward(layers: Sequence[tuple], x: np.ndarray, product=np.dot) -> np.ndarray:
     """The (N, 1) logits of rows ``x``; ``layers`` holds (weights,
     biases, out) per layer, ``out`` a buffer for that layer's output or
-    None for a fresh array."""
+    None for a fresh array.  ``product`` multiplies a layer's input by
+    its weights: ``np.matmul`` takes an (N, 1, n) stack of single rows
+    to (N, 1, 1) logits."""
     last = len(layers) - 1
     z = x
     for i, (w, b, out) in enumerate(layers):
-        z = np.dot(z, w, out=out)
+        z = product(z, w, out=out)
         np.add(z, b, out=z)
         if i < last:
             np.maximum(z, _ZERO, out=z)
@@ -671,36 +681,136 @@ def expert_agreement(
 # policy and serialization
 # ---------------------------------------------------------------------------
 
+def _shape_fault(sizes: Sequence[int]) -> Optional[str]:
+    """Why the policy cannot run a network of these layer sizes, or None
+    when it maps a feature row to one sample probability."""
+    if sizes[0] == N_FEATURES and sizes[-1] == 1:
+        return None
+    return (f"the policy runs a network from {N_FEATURES} features to 1 output, "
+            f"not {sizes[0]} to {sizes[-1]}")
+
+
+class _ReachPlan(NamedTuple):
+    """The cells of one block, by start charge, for charges ``low`` to
+    ``low + width - 1``: ``rows[depth * width + charge - low]`` is a
+    cell's row, ``_NO_ROW`` when the block leaves it out.  Rows run
+    depth-major, so the first ``ends[d]`` rows are those of depth below
+    d; ``depths`` is each row's depth, shaped (n, 1), and ``charges``
+    its feature 0, charge / SOC_MAX."""
+
+    low: int
+    width: int
+    rows: bytes
+    depths: np.ndarray
+    charges: np.ndarray
+    ends: Tuple[int, ...]
+
+
+@lru_cache(maxsize=32 * N_SOC)
+def _reach_plan(energy: EnergyModel, start: int) -> _ReachPlan:
+    """The (depth, charge) cells a ``bc`` walk from charge ``start`` can
+    decide at within ``_BLOCK_DEPTH`` steps, taking at most
+    ``_BLOCK_SAMPLES`` samples, read from the cached transition table:
+    the start cell, then every cell at or above the sampling floor.  A
+    charge below the floor has only its Off successor, as ``decide``
+    returns Off there."""
+    moves, floor = _transitions(energy), energy.sample_discharge
+    cells = [(0, start)]
+    ends = [0, 1]
+    level = {start: 0}  # each charge at this depth, by the fewest samples that reach it
+    for depth in range(1, _BLOCK_DEPTH):
+        below = {}
+        for charge, taken in level.items():
+            successors = [(moves[_OFF][charge][1], taken)]
+            if charge >= floor and taken < _BLOCK_SAMPLES:
+                successors.append((moves[_SAMPLE][charge][1], taken + 1))
+            for succ, count in successors:
+                if count < below.get(succ, _BLOCK_SAMPLES + 1):
+                    below[succ] = count
+        level = below
+        cells += [(depth, charge) for charge in sorted(level) if charge >= floor]
+        ends.append(len(cells))
+    assert len(cells) < _NO_ROW  # at most 241 rows, over every EnergyModel and start
+    depths, charges = map(list, zip(*cells))
+    low = min(charges)
+    width = max(charges) - low + 1
+    rows = bytearray([_NO_ROW]) * (_BLOCK_DEPTH * width)
+    for row, (depth, charge) in enumerate(cells):
+        rows[depth * width + charge - low] = row
+    return _ReachPlan(low, width, bytes(rows), np.array(depths, dtype=np.intp)[:, None],
+                      np.array(charges) / SOC_MAX, tuple(ends))
+
+
 class _BCPolicy(Policy):
+    """Decides from probabilities computed in blocks: one stacked network
+    call covers every cell of the start cell's reach plan, and a decision
+    at a cell the current block holds reads its probability from a list.
+    The block names its strip's index by a weak reference only, so it
+    keeps no strip alive; ``reset`` and ``prepare`` drop it."""
+
     name = "bc"
     placement = Placement.DISC
 
     def __init__(self, model: MLPModel, mode: str, seed: int, energy: EnergyModel):
         if mode not in ("stochastic", "threshold"):
             raise ParameterError(f"unknown mode {mode!r}")
+        fault = _shape_fault(model.layer_sizes)
+        if fault:
+            raise ParameterError(fault)
         self.model = model
         self.mode = mode
         self.seed = seed
+        self._energy = energy
         self._floor = energy.sample_discharge
-        # one input row and one output buffer per layer, reused by every
-        # decision: featurize_bc and mlp_forward's single-row path, in place
-        sizes = model.layer_sizes
-        self._x = np.empty(sizes[0])
-        self._layers = list(zip(model.weights, model.biases, [np.empty(k) for k in sizes[1:]]))
+        self._layers = [(w, b, None) for w, b in zip(model.weights, model.biases)]
         self.reset()
 
     def reset(self) -> None:
         self._rng = np.random.default_rng(self.seed)
+        self._drop_block()
 
     def prepare(self, index: StripIndex) -> None:
         index.bc_features  # the first read builds the kept block
+        self._drop_block()
+
+    def _drop_block(self) -> None:
+        # a width of 0 holds no charge, so the next decision builds
+        self._start = self._low = self._width = self._limit = 0
+        self._index, self._rows, self._probs = None, b"", []
 
     def _probability(self, obs: Observation) -> float:
-        """``mlp_forward(model, featurize_bc(obs))``, in the policy's buffers."""
-        x = self._x
-        x[:] = obs.index.bc_features[obs.t - 1]
-        x[0] = obs.soc / SOC_MAX
-        return _forward_row(self._layers, x)
+        """``mlp_forward(model, featurize_bc(obs))``, read from the current
+        block when it holds the cell, else from a new block."""
+        charge = obs.soc - self._low
+        if 0 <= charge < self._width:
+            key = (obs.t - self._start) * self._width + charge
+            if 0 <= key < self._limit and self._index() is obs.index:
+                row = self._rows[key]
+                if row != _NO_ROW:
+                    return self._probs[row]
+        return self._new_block(obs)
+
+    def _new_block(self, obs: Observation) -> float:
+        """Build the block that starts at ``obs``'s cell; its probability.
+
+        A stack of single rows through ``np.matmul`` runs each row
+        through the gemv kernel of ``_forward_row``'s ``z.dot(w)``, and
+        ``_sigmoid`` rounds as its scalar formula does, so every
+        probability equals that row's alone bit for bit
+        (``test_block_rows_match_the_single_row_forward``).
+        """
+        index, t = obs.index, obs.t
+        plan = _reach_plan(self._energy, obs.soc)
+        features = index.bc_features
+        depth = min(_BLOCK_DEPTH, len(features) - t + 1)  # none past the strip's end
+        n = plan.ends[depth]
+        x = features[t - 1:].take(plan.depths[:n], axis=0)  # (n, 1, N_FEATURES)
+        x[:, 0, 0] = plan.charges[:n]
+        self._probs = _sigmoid(_forward(self._layers, x, np.matmul)).ravel().tolist()
+        self._start, self._low, self._width = t, plan.low, plan.width
+        self._limit, self._rows = depth * plan.width, plan.rows
+        self._index = weakref.ref(index)
+        return self._probs[0]
 
     def decide(self, obs: Observation) -> Action:
         if obs.soc < self._floor:
@@ -718,7 +828,9 @@ def bc_policy(
     energy: EnergyModel = EnergyModel(),
 ) -> Policy:
     """Cloned policy; stochastic mode draws Sample with the model's
-    probability, threshold mode samples when it exceeds one half."""
+    probability, threshold mode samples when it exceeds one half.  A
+    network other than ``N_FEATURES`` inputs to 1 output raises
+    ParameterError."""
     return _BCPolicy(model, mode, seed, energy)
 
 
@@ -735,7 +847,9 @@ def save_model(model: MLPModel, path, manifest: Optional[dict] = None) -> None:
 
 def load_model(path) -> MLPModel:
     """Read a model written by ``save_model``, its parameters as layer views
-    into one fresh flat vector: the form ``train_bc`` returns."""
+    into one fresh flat vector: the form ``train_bc`` returns.  A network
+    the policy cannot run (not ``N_FEATURES`` inputs to 1 output) raises
+    FormatError."""
     data, (n_layers, *key) = read_checked(path, MODEL_MAGIC, MODEL_HEADER)
     if n_layers == 0 or n_layers > 64:
         raise FormatError(f"unreasonable layer count {n_layers}", offset=4)
@@ -760,5 +874,8 @@ def load_model(path) -> MLPModel:
         if fan_out != fan_in:
             raise FormatError("layer shapes do not chain", offset=MODEL_HEADER.size)
     sizes = [fan_in for fan_in, _ in shapes] + [shapes[-1][1]]
+    fault = _shape_fault(sizes)
+    if fault:
+        raise FormatError(fault, offset=MODEL_HEADER.size)
     weights, biases = _layer_views(np.concatenate(chunks, dtype=np.float64), sizes)
     return MLPModel(weights, biases, tuple(digest.hex() for digest in key))

@@ -321,6 +321,25 @@ def test_a_damaged_file_in_an_out_dir_is_rebuilt(tmp_path, cfg, kind, how):
     assert stable_report(out) == fresh
 
 
+@pytest.mark.parametrize("sizes", [(13, 4, 2), (12, 4, 1)])
+def test_a_kept_network_the_policy_cannot_run_is_retrained(tmp_path, cfg, bench_calls, sizes):
+    """A bc_model.dtm under the right key whose network has other than 13
+    inputs or 1 output is a miss: retrained and written over, not scored
+    on its first output or stopped at the first decision."""
+    out = tmp_path / "out"
+    assert main(["eval", "--config", cfg(LEARNER_ROSTER), "--out", str(out)]) == EXIT_OK
+    fresh = stable_report(out)
+    path = out / "bc_model.dtm"
+    good = path.read_bytes()
+    odd = init_mlp(seed=0, layer_sizes=sizes)
+    odd.key = load_model(path).key
+    save_model(odd, path)
+    assert main(["eval", "--config", cfg(LEARNER_ROSTER), "--out", str(out)]) == EXIT_OK
+    assert bench_calls["train_bc"] == 2
+    assert path.read_bytes() == good
+    assert stable_report(out) == fresh
+
+
 def test_a_second_train_q_reuses_its_table(tmp_path, cfg, bench_calls, capsys):
     out = tmp_path / "out"
     assert main(["train-q", "--config", cfg(), "--out", str(out)]) == EXIT_OK

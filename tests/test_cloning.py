@@ -1,5 +1,6 @@
 """Imitation learner: features, demo handling, network, training loop."""
 import dataclasses
+import gc
 import hashlib
 import struct
 import tracemalloc
@@ -37,16 +38,22 @@ from dyntarget import (
 )
 from dyntarget.cloning import (
     _EPS,
+    _NO_ROW,
     DemoSet,
     LAYER_SIZES,
     MODEL_HEADER,
     MODEL_MAGIC,
     N_FEATURES,
+    _BLOCK_DEPTH,
+    _BCPolicy,
+    _forward,
     _forward_row,
+    _reach_plan,
     _sigmoid,
     dominant_radar_class,
 )
-from dyntarget.sim import SOC_MAX, SatState
+from dyntarget.bench import measure_latency
+from dyntarget.sim import SOC_MAX, Policy, SatState, run_episode, strip_index
 from dyntarget.errors import ConsistencyError, FormatError, ParameterError
 from dyntarget.world import UNKEYED
 
@@ -827,6 +834,220 @@ def test_policy_probability_matches_the_reference_formula(which):
         assert stochastic.decide(obs) is expect
         decided.add(expect)
     assert decided == {Action.OFF, Action.SAMPLE}
+
+
+# ---------------------------------------------------------------------------
+# blocks: the policy's probabilities, one stacked network call at a time
+# ---------------------------------------------------------------------------
+
+def dead_unit_models(rng, count):
+    """Seeded networks whose negative biases leave dead units."""
+    models = []
+    for seed in range(count):
+        model = init_mlp(seed=seed)
+        for b in model.biases:
+            b[:] = rng.normal(-0.3, 0.5, size=b.shape)
+        models.append(model)
+    return models
+
+
+def test_stacked_single_rows_match_the_single_row_forward():
+    """An (N, 1, n) stack of single rows through ``np.matmul``, the bias
+    add and the ReLU equals ``_forward_row`` on each row alone bit for
+    bit, layer by layer, and so does the probability through
+    ``_sigmoid``: at N of 1, 2, 37 and 200, on random rows, zero rows
+    and rows of -0.0 entries, with dead units."""
+    rng = np.random.default_rng(67)
+    pool = np.vstack([
+        np.zeros((3, N_FEATURES)),
+        np.full((3, N_FEATURES), -0.0),
+        np.where(rng.random((4, N_FEATURES)) < 0.5, -0.0, rng.random((4, N_FEATURES))),
+        rng.normal(0.0, 2.0, (10, N_FEATURES)),
+        rng.random((180, N_FEATURES)),
+    ])
+    compared = dead = 0
+    for model in dead_unit_models(rng, 6):
+        sizes = model.layer_sizes
+        layers = list(zip(model.weights, model.biases, [np.empty(k) for k in sizes[1:]]))
+        single = []  # each row's probability and layer outputs, alone
+        for x in pool:
+            p = _forward_row(layers, x)
+            single.append((p, [out.copy() for _, _, out in layers]))
+        for n in (1, 2, 37, 200):
+            for start in range(0, len(pool), n):
+                stack = pool[start: start + n, None, :]
+                z = stack
+                for i, (w, b, _) in enumerate(layers):
+                    z = np.matmul(z, w) + b
+                    if i < len(layers) - 1:
+                        z = np.maximum(z, 0.0)
+                        dead += int(np.count_nonzero(z == 0.0))
+                    for k, row in enumerate(z[:, 0]):
+                        assert np.array_equal(bits(row), bits(single[start + k][1][i])), (n, i)
+                    compared += z.size
+                probs = _sigmoid(z).ravel()
+                package = _sigmoid(_forward([(w, b, None) for w, b, _ in layers], stack,
+                                            np.matmul)).ravel()
+                want = [p for p, _ in single[start: start + len(stack)]]
+                assert np.array_equal(bits(probs), bits(want)), n
+                assert np.array_equal(bits(package), bits(want)), n
+    assert compared > 50_000 and dead > 0
+
+
+class ReferenceBC(Policy):
+    """The cloned policy's decision longhand: Off below the floor, else
+    ``mlp_forward(model, featurize_bc(obs))`` and, in stochastic mode,
+    one draw."""
+
+    def __init__(self, model, mode, seed, energy):
+        self.model, self.mode, self.seed, self.energy = model, mode, seed, energy
+
+    def reset(self):
+        self.rng = np.random.default_rng(self.seed)
+
+    def decide(self, obs):
+        if obs.soc < self.energy.sample_discharge:
+            return Action.OFF
+        p = mlp_forward(self.model, featurize_bc(obs))
+        if self.mode == "stochastic":
+            return Action.SAMPLE if self.rng.random() < p else Action.OFF
+        return Action.SAMPLE if p >= 0.5 else Action.OFF
+
+
+def block_cells(policy):
+    """Each (t, soc, probability) of the policy's current block; every row
+    of the block must be one of them."""
+    cells = []
+    for key in range(policy._limit):
+        row = policy._rows[key]
+        if row != _NO_ROW:
+            depth, offset = divmod(key, policy._width)
+            cells.append((policy._start + depth, policy._low + offset, policy._probs[row]))
+    assert sorted(policy._rows[key] for key in range(policy._limit)
+                  if policy._rows[key] != _NO_ROW) == list(range(len(policy._probs)))
+    return cells
+
+
+@pytest.mark.parametrize("energy", [EnergyModel(), EnergyModel(7, 3), EnergyModel(2, 1)],
+                         ids=["default", "7-3", "2-1"])
+def test_block_rows_match_the_single_row_forward(monkeypatch, energy):
+    """Every row of every block the policy builds equals
+    ``mlp_forward(model, featurize_bc(obs))`` at its cell bit for bit,
+    and episodes equal the longhand decision's, draws included: from
+    charges 100, the floor and one below it, on a strip shorter than a
+    block's depth (5 steps) and longer ones (30 and 200), and through
+    measure_latency's wrap past the 30-step strip's end."""
+    geom = SensorGeometry()
+    blocks = []
+    build = _BCPolicy._new_block
+
+    def recorded(self, obs):
+        p = build(self, obs)
+        blocks.append((self.model, obs.strip, block_cells(self)))
+        return p
+
+    monkeypatch.setattr(_BCPolicy, "_new_block", recorded)
+    strips = [generate_synthetic(GenParams(length=n, seed=70 + n)) for n in (5, 30, 200)]
+    floor = energy.sample_discharge
+    for model in dead_unit_models(np.random.default_rng(71), 2):
+        for strip in strips:
+            for soc0 in (SOC_MAX, floor, floor - 1):
+                for mode in ("stochastic", "threshold"):
+                    policy = bc_policy(model, mode=mode, seed=5, energy=energy)
+                    log = run_episode(strip, geom, energy, REWARDS, policy, soc0=soc0)
+                    want = run_episode(strip, geom, energy, REWARDS,
+                                       ReferenceBC(model, mode, 5, energy), soc0=soc0)
+                    assert (log.codes, log.total_reward) == (want.codes, want.total_reward)
+                    measure_latency(policy, strips[1], 100, geom, energy, soc0)
+    starts, clipped, rows = set(), 0, 0
+    for model, strip, cells in blocks:
+        for t, soc, p in cells:
+            want = mlp_forward(model, featurize_bc(observe(strip, geom, SatState(t, soc))))
+            assert bits(p) == bits(want), (strip.length, t, soc)
+        t, soc, _ = cells[0]
+        starts.add(soc)
+        clipped += t + _BLOCK_DEPTH - 1 > strip.length
+        rows += len(cells)
+    assert {SOC_MAX, floor} <= starts and clipped and rows > 5_000
+
+
+def high_sensing_model():
+    """A network whose logit is 8 (footprint High fraction) - 4: Sample
+    over an all-High footprint, Off over an all-Low one."""
+    model = MLPModel(
+        weights=[np.zeros((a, b)) for a, b in zip(LAYER_SIZES[:-1], LAYER_SIZES[1:])],
+        biases=[np.zeros(b) for b in LAYER_SIZES[1:]],
+    )
+    model.weights[0][3, 0] = 1.0
+    for w in model.weights[1:-1]:
+        w[0, 0] = 1.0
+    model.weights[-1][0, 0] = 8.0
+    model.biases[-1][0] = -4.0
+    return model
+
+
+@pytest.mark.parametrize("mode", ["threshold", "stochastic"])
+def test_one_policy_decides_on_two_strips_without_prepare(geom_small, mode):
+    """Through the public observe/decide pair, one policy deciding at the
+    same (t, soc) on strip A, then B, then A again, with no prepare in
+    between, decides from each strip's own probability every time."""
+    a = uniform(5, 40, RewardClass.HIGH)
+    b = uniform(5, 40, RewardClass.LOW)
+    model = high_sensing_model()
+    policy = bc_policy(model, mode=mode, seed=3, energy=ENERGY)
+    draws = np.random.default_rng(3)
+    differ = 0
+    for t in (1, 2, 17, 40):
+        for soc in (ENERGY.sample_discharge, 60, SOC_MAX):
+            got, want = [], []
+            for strip in (a, b, a):
+                obs = observe(strip, geom_small, SatState(t=t, soc=soc))
+                p = mlp_forward(model, featurize_bc(obs))
+                got.append(policy.decide(obs))
+                sample = draws.random() < p if mode == "stochastic" else p >= 0.5
+                want.append(Action.SAMPLE if sample else Action.OFF)
+                assert bits(policy._probability(obs)) == bits(p), (t, soc)
+            assert got == want, (t, soc)
+            differ += got[0] != got[1]
+    assert differ >= 6
+
+
+def test_plans_and_a_policy_retain_little_after_an_episode():
+    """After a 10k-step episode that starts blocks at most charges, the
+    cached reach plans and the policy hold under 0.25 MB (tracemalloc)."""
+    strip = generate_synthetic(GenParams(length=10_000, seed=71))
+    geom = SensorGeometry()
+    index = strip_index(strip, geom)
+    index.bc_features, index.columns  # the index's own blocks, kept with the strip
+    model = biased_model(-1.5)
+    _reach_plan.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        policy = bc_policy(model, energy=ENERGY)
+        log = run_episode(strip, geom, ENERGY, REWARDS, policy)
+        del log
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert _reach_plan.cache_info().currsize >= 80
+    assert retained < 0.25 * 2**20, retained
+
+
+@pytest.mark.parametrize("sizes", [(13, 4, 2), (12, 4, 1), (13, 1, 1, 3)])
+def test_the_policy_refuses_a_network_it_cannot_run(tmp_path, sizes):
+    """A network with other than 13 inputs or 1 output is refused when
+    the policy is built, not at its first decision or never, and a file
+    holding one does not load."""
+    model = init_mlp(seed=0, layer_sizes=sizes)
+    with pytest.raises(ParameterError):
+        bc_policy(model)
+    path = tmp_path / "m.dtm"
+    save_model(model, path)
+    with pytest.raises(FormatError) as err:
+        load_model(path)
+    assert err.value.offset == MODEL_HEADER.size
 
 
 def test_sigmoid_matches_the_masked_reference():
